@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test perf vm-bench triage-bench warm-bench serve-bench \
+.PHONY: test perf triage-bench warm-bench serve-bench \
 	bucket-bench fleet-bench obs-bench serve-smoke fleet-smoke \
 	chaos-smoke obs-smoke fuzz-smoke fuzz-test fuzz-pinned
 
@@ -12,17 +12,12 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 test:
 	$(PYTHON) -m pytest -x -q
 
-# P1 throughput benchmark (appends rows to BENCH_res.json).
+# P1 throughput benchmark (also a CI gate): the incremental search vs
+# the naive from-scratch one on E1 and E2 — byte-identical suffixes and
+# prune counters enforced, nodes/s floors asserted (appends
+# `res_throughput` rows to BENCH_res.json).
 perf:
 	$(PYTHON) -m pytest benchmarks/test_p1_res_throughput.py -q -m perf
-
-# Engine A/B benchmark (also a CI gate): bytecode VM + compiled symex
-# vs the tree interpreter on the same incremental search — byte-
-# identical suffixes/counters enforced, wall-time floor asserted
-# (appends `res_throughput` rows with `engine_ab` set).
-vm-bench:
-	$(PYTHON) -m pytest benchmarks/test_p1_res_throughput.py -q -m perf \
-		-k bytecode_engine
 
 # P3 batch-triage throughput benchmark: sharded service vs serial
 # sweep on a labeled fuzz corpus (appends `triage_throughput` rows).

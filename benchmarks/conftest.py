@@ -5,11 +5,11 @@ DESIGN.md's experiment index).  Measured rows are printed with the
 ``[ROW]`` prefix so EXPERIMENTS.md can be cross-checked against a run's
 output directly.
 
-Performance trajectory: every benchmark test is timed by an autouse
-fixture that appends a row to ``BENCH_res.json`` at the repo root, so
-the perf history is machine-readable from PR 1 onward.  Structured
-results (the throughput benchmark's before/after numbers) land in the
-same file under their own keys via :func:`bench_record`.
+Performance trajectory: perf-marked benchmarks append structured rows
+(the throughput benchmarks' before/after numbers) to ``BENCH_res.json``
+at the repo root via :func:`bench_record`, each family under its own
+key.  Plain test runs write nothing there; ``pytest --durations=0``
+prints per-test wall times on demand.
 """
 
 from __future__ import annotations
@@ -19,14 +19,9 @@ import json
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.ioutil import atomic_write_json
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_res.json"
-
-#: cap on retained per-test timing rows (oldest dropped first)
-_MAX_TIMINGS = 500
 
 
 def pytest_configure(config):
@@ -80,29 +75,3 @@ def bench_record(section: str, entry: dict) -> None:
             dict(entry, recorded_at=round(time.time(), 1)))
 
     _update_bench(mutate)
-
-
-def record_timing(payload: dict, nodeid: str, seconds: float,
-                  recorded_at: float) -> None:
-    """Append one per-test timing row, keeping only the newest
-    ``_MAX_TIMINGS`` entries — the append-only log must stay bounded no
-    matter how many runs accumulate (regression-tested in
-    ``tests/test_bench_log.py``)."""
-    timings = payload.setdefault("timings", [])
-    timings.append({
-        "test": nodeid,
-        "seconds": round(seconds, 4),
-        "recorded_at": round(recorded_at, 1),
-    })
-    del timings[:-_MAX_TIMINGS]
-
-
-@pytest.fixture(autouse=True)
-def perf_timer(request):
-    """Time every benchmark test and append the wall clock to
-    ``BENCH_res.json`` — the machine-readable perf trajectory."""
-    start = time.perf_counter()
-    yield
-    elapsed = time.perf_counter() - start
-    _update_bench(lambda payload: record_timing(
-        payload, request.node.nodeid, elapsed, time.time()))

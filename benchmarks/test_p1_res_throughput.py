@@ -146,117 +146,3 @@ func main() {{
     compare_modes("e2_distance_8", module, result.coredump,
                   dict(max_depth=16 + 6 * distance, max_nodes=20_000),
                   min_speedup=2.0)
-
-
-# ---------------------------------------------------------------------------
-# Engine A/B: bytecode VM + compiled symex vs the tree interpreter
-# ---------------------------------------------------------------------------
-
-def _best_engine_run(module, coredump, config_kwargs, bytecode,
-                     repeats=3) -> dict:
-    """Best of ``repeats`` timed runs (identity fields from the first).
-
-    The engine comparison measures a constant factor, not an asymptotic
-    one, so a single stray scheduler hiccup would dominate a one-shot
-    wall; the best-of floor is the stable statistic.
-    """
-    best = None
-    for _ in range(repeats):
-        run = run_engine(module, coredump,
-                         RESConfig(incremental=True, bytecode=bytecode,
-                                   **config_kwargs))
-        if best is None:
-            best = run
-        elif run["wall"] < best["wall"]:
-            run["suffixes"], run["counters"] = \
-                best["suffixes"], best["counters"]
-            best = run
-    return best
-
-
-def compare_engines(workload_name, module, coredump, config_kwargs,
-                    min_engine_speedup) -> None:
-    """Bytecode vs tree rows for the same incremental search.
-
-    Both engines must emit byte-identical suffixes and prune counters
-    (the engine swap is invisible); the bytecode path must clear
-    ``min_engine_speedup`` on wall time.
-    """
-    # Warm-up: module caches, bytecode program, compiled evaluators.
-    run_engine(module, coredump,
-               RESConfig(incremental=True, bytecode=True, **config_kwargs))
-    tree = _best_engine_run(module, coredump, config_kwargs, bytecode=False)
-    fast = _best_engine_run(module, coredump, config_kwargs, bytecode=True)
-
-    assert fast["suffixes"] == tree["suffixes"], \
-        "bytecode engine changed the emitted suffixes"
-    assert fast["counters"] == tree["counters"], \
-        "bytecode engine changed the search counters"
-
-    speedup = tree["wall"] / fast["wall"]
-    emit_row("P1-engine", workload=workload_name,
-             depth=config_kwargs["max_depth"],
-             tree_ms=round(tree["wall"] * 1000, 1),
-             bytecode_ms=round(fast["wall"] * 1000, 1),
-             speedup=round(speedup, 2),
-             tree_depth_per_sec=round(tree["depth_per_sec"], 1),
-             bytecode_depth_per_sec=round(fast["depth_per_sec"], 1))
-    bench_record("res_throughput", {
-        "workload": workload_name,
-        "max_depth": config_kwargs["max_depth"],
-        "engine_ab": "bytecode_vs_tree",
-        "tree_wall_s": round(tree["wall"], 4),
-        "bytecode_wall_s": round(fast["wall"], 4),
-        "engine_speedup": round(speedup, 2),
-        "tree_depth_per_sec": round(tree["depth_per_sec"], 2),
-        "bytecode_depth_per_sec": round(fast["depth_per_sec"], 2),
-        "incremental_depth_per_sec": round(fast["depth_per_sec"], 2),
-        "suffixes_emitted": len(fast["suffixes"]),
-        "solver_calls": fast["solver_calls"],
-        "solver_cache_hits": fast["solver_cache_hits"],
-    })
-    assert speedup >= min_engine_speedup, (
-        f"{workload_name}: bytecode engine {speedup:.2f}x below the "
-        f"{min_engine_speedup}x floor (tree {tree['wall'] * 1000:.1f}ms, "
-        f"bytecode {fast['wall'] * 1000:.1f}ms)")
-
-
-@pytest.mark.perf
-def test_p1_e1_bytecode_engine():
-    """E1, depth 32: compiled execution on the replay-heavy workload;
-    measured ~2x engine speedup (~300 vs ~130 depth/s)."""
-    workload = long_execution_workload(80)
-    result = workload.run_once(seed=0)
-    assert result.trapped
-    compare_engines("e1_long_execution", workload.module, result.coredump,
-                    dict(max_depth=32, max_nodes=5000),
-                    min_engine_speedup=1.4)
-
-
-@pytest.mark.perf
-def test_p1_e2_bytecode_engine():
-    """E2, depth 64: the segment-execution-bound case; measured ~2.7x
-    engine speedup (~1400+ vs ~500 depth/s)."""
-    distance = 8
-    src = f"""
-global int g;
-global int pad;
-
-func main() {{
-    int v = input();
-    g = v;
-    int i = 0;
-    while (i < {distance}) {{
-        pad = pad + i;
-        i = i + 1;
-    }}
-    assert(g == 0, "g was corrupted long ago");
-    return 0;
-}}
-"""
-    module = compile_source(src, name="p1_dist_8")
-    result = VM(module, inputs=[7]).run()
-    assert result.trapped
-    compare_engines("e2_distance_8", module, result.coredump,
-                    dict(max_depth=16 + 6 * distance, max_nodes=20_000),
-                    min_engine_speedup=1.6)

@@ -26,9 +26,9 @@ from repro.symex.solver import Solver
 from repro.vm.bytecode_vm import BFrame, BytecodeVM
 from repro.vm.scheduler import RandomPreemptScheduler
 from repro.vm.coredump import Coredump, TrapKind
-from repro.vm.interpreter import RunResult, RunStatus, VM
+from repro.vm.interpreter import RunResult, RunStatus
 from repro.vm.memory import Allocation
-from repro.vm.state import Frame, Thread, ThreadStatus
+from repro.vm.state import Thread, ThreadStatus
 from repro.vm.trace import ExecutionTrace
 from repro.core.suffix import ExecutionSuffix
 
@@ -42,7 +42,7 @@ class ReplayReport:
     inputs: List[int] = field(default_factory=list)
     model: Optional[Dict[str, int]] = None
     trace: Optional[ExecutionTrace] = None
-    vm: Optional[VM] = None
+    vm: Optional[BytecodeVM] = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -51,12 +51,10 @@ class ReplayReport:
 class SuffixReplayer:
     """Materializes and replays :class:`ExecutionSuffix` objects."""
 
-    def __init__(self, module: Module, solver: Optional[Solver] = None,
-                 use_bytecode: bool = True):
+    def __init__(self, module: Module, solver: Optional[Solver] = None):
         self.module = module
         self.solver = solver or Solver()
-        self.use_bytecode = use_bytecode
-        self._program = compile_program(module) if use_bytecode else None
+        self._program = compile_program(module)
         # Replay drives the schedule itself, so the VM's scheduler is
         # never consulted; sharing one instance skips a per-replay
         # Mersenne-twister seeding.
@@ -96,31 +94,20 @@ class SuffixReplayer:
     # ------------------------------------------------------------------
 
     def _instantiate(self, suffix: ExecutionSuffix,
-                     model: Dict[str, int]) -> VM:
+                     model: Dict[str, int]) -> BytecodeVM:
         coredump = suffix.coredump
         snapshot = suffix.snapshot
         inputs = [self._eval(sym, model) for sym in suffix.input_syms()]
-        if self.use_bytecode:
-            vm: VM = BytecodeVM(
-                self.module,
-                inputs=inputs,
-                scheduler=self._scheduler,
-                record_trace=True,
-                check_bounds=coredump.bounds_checked,
-                lbr_depth=0,
-                start_main=False,
-                program=self._program,
-            )
-        else:
-            vm = VM(
-                self.module,
-                inputs=inputs,
-                scheduler=self._scheduler,
-                record_trace=True,
-                check_bounds=coredump.bounds_checked,
-                lbr_depth=0,
-                start_main=False,
-            )
+        vm = BytecodeVM(
+            self.module,
+            inputs=inputs,
+            scheduler=self._scheduler,
+            record_trace=True,
+            check_bounds=coredump.bounds_checked,
+            lbr_depth=0,
+            start_main=False,
+            program=self._program,
+        )
         # Memory: the coredump image patched with the reconstructed
         # pre-state expressions, evaluated under the model.
         words = dict(coredump.memory)
@@ -144,59 +131,36 @@ class SuffixReplayer:
         # Locks held at suffix start.
         vm.lock_owners = dict(snapshot.lock_owners)
 
-        # Threads.  The bytecode path evaluates registers straight into
-        # slot frames — the same conversion ``adopt_thread`` performs on
-        # dict frames, fused with the model evaluation pass.
+        # Threads: registers are evaluated under the model straight into
+        # slot frames.  The 1:1 bytecode↔IR mapping makes a mid-block
+        # position exact: ``ip = block_start[block] + index``.
         eval_ = self._eval
-        if isinstance(vm, BytecodeVM):
-            funcs = self._program.funcs
-            for tid, snap_thread in snapshot.threads.items():
-                bframes: List[BFrame] = []
-                prev_bfunc = None
-                for f in snap_thread.frames:
-                    bfunc = funcs[f.function]
-                    ip = bfunc.block_start[f.block] + f.index
-                    slots: List[Optional[int]] = [None] * bfunc.nslots
-                    reg_slots = bfunc.reg_slots
-                    for reg, expr in f.regs.items():
-                        slots[reg_slots[reg]] = expr.value \
-                            if type(expr) is Const else eval_(expr, model)
-                    ret_slot = -1
-                    if f.ret_dst is not None and prev_bfunc is not None:
-                        ret_slot = prev_bfunc.reg_slots[f.ret_dst]
-                    bframes.append(BFrame(bfunc, ip, slots, f.frame_base,
-                                          f.ret_dst, ret_slot))
-                    prev_bfunc = bfunc
-                status = ThreadStatus.RUNNABLE if bframes \
-                    else ThreadStatus.FINISHED
-                held = [addr for addr, owner in snapshot.lock_owners.items()
-                        if owner == tid]
-                thread = Thread(tid=tid, frames=bframes, status=status,
-                                held_locks=held,
-                                start_function=snap_thread.start_function)
-                vm.threads[tid] = thread
-                vm.next_tid = max(vm.next_tid, tid + 1)
-            return vm
+        funcs = self._program.funcs
         for tid, snap_thread in snapshot.threads.items():
-            frames = [
-                Frame(
-                    function=f.function,
-                    block=f.block,
-                    index=f.index,
-                    regs={reg: eval_(expr, model)
-                          for reg, expr in f.regs.items()},
-                    frame_base=f.frame_base,
-                    frame_words=f.frame_words,
-                    ret_dst=f.ret_dst,
-                )
-                for f in snap_thread.frames
-            ]
-            status = ThreadStatus.RUNNABLE if frames else ThreadStatus.FINISHED
+            bframes: List[BFrame] = []
+            prev_bfunc = None
+            for f in snap_thread.frames:
+                bfunc = funcs[f.function]
+                ip = bfunc.block_start[f.block] + f.index
+                slots: List[Optional[int]] = [None] * bfunc.nslots
+                reg_slots = bfunc.reg_slots
+                for reg, expr in f.regs.items():
+                    slots[reg_slots[reg]] = expr.value \
+                        if type(expr) is Const else eval_(expr, model)
+                ret_slot = -1
+                if f.ret_dst is not None and prev_bfunc is not None:
+                    ret_slot = prev_bfunc.reg_slots[f.ret_dst]
+                bframes.append(BFrame(bfunc, ip, slots, f.frame_base,
+                                      f.ret_dst, ret_slot))
+                prev_bfunc = bfunc
+            status = ThreadStatus.RUNNABLE if bframes \
+                else ThreadStatus.FINISHED
             held = [addr for addr, owner in snapshot.lock_owners.items()
                     if owner == tid]
-            vm.adopt_thread(Thread(tid=tid, frames=frames, status=status,
-                                   held_locks=held,
-                                   start_function=snap_thread.start_function))
+            vm.threads[tid] = Thread(tid=tid, frames=bframes, status=status,
+                                     held_locks=held,
+                                     start_function=snap_thread.start_function)
+            vm.next_tid = max(vm.next_tid, tid + 1)
         return vm
 
     @staticmethod
@@ -211,58 +175,26 @@ class SuffixReplayer:
     # Driving the schedule
     # ------------------------------------------------------------------
 
-    def _drive(self, vm: VM, suffix: ExecutionSuffix) -> ReplayReport:
-        if isinstance(vm, BytecodeVM):
-            return self._drive_fast(vm, suffix)
-        mismatches: List[str] = []
-        terminal: Optional[RunResult] = None
-        legs = suffix.schedule()
-        for leg_idx, (tid, count) in enumerate(legs):
-            for step_in_leg in range(count):
-                if terminal is not None:
-                    mismatches.append("program ended before the schedule did")
-                    return ReplayReport(ok=False, mismatches=mismatches)
-                vm.wake_threads()
-                thread = vm.threads.get(tid)
-                if thread is None or thread.status is not ThreadStatus.RUNNABLE:
-                    mismatches.append(
-                        f"thread {tid} not runnable at leg {leg_idx}")
-                    return ReplayReport(ok=False, mismatches=mismatches)
-                before = thread.top.pc if thread.frames else None
-                terminal = vm.step_thread(tid)
-                if thread.status in (ThreadStatus.BLOCKED_LOCK,
-                                     ThreadStatus.BLOCKED_JOIN):
-                    # The instruction did not actually execute: this
-                    # schedule is not realizable.
-                    mismatches.append(
-                        f"thread {tid} blocked mid-suffix at {before}")
-                    return ReplayReport(ok=False, mismatches=mismatches)
-                if thread.status is ThreadStatus.FINISHED \
-                        and terminal is None and step_in_leg < count - 1:
-                    mismatches.append(
-                        f"thread {tid} finished with its leg unfinished")
-                    return ReplayReport(ok=False, mismatches=mismatches)
-        return self._finish_drive(vm, suffix, terminal, mismatches)
+    def _drive(self, vm: BytecodeVM, suffix: ExecutionSuffix) -> ReplayReport:
+        """Drive the schedule: one :meth:`BytecodeVM.run_leg` call per
+        schedule leg, which runs the leg's steps of one thread without
+        per-step dispatch.
 
-    def _drive_fast(self, vm: BytecodeVM,
-                    suffix: ExecutionSuffix) -> ReplayReport:
-        """The batched drive: one :meth:`BytecodeVM.run_leg` call per
-        schedule leg instead of one ``step_thread`` per instruction.
-
-        Equivalent to the per-step loop because only the driven thread
-        executes within a leg: waking other threads between its steps
-        cannot change what it does (waking never alters lock ownership
-        or FINISHED-ness), and the driven thread itself stays RUNNABLE
-        until the blocked/finished checks below would fire anyway.
+        Only the driven thread executes within a leg, so waking other
+        threads between its steps could not change what it does (waking
+        never alters lock ownership or FINISHED-ness), and the driven
+        thread stays RUNNABLE until the blocked/finished checks below
+        fire.  A thread that blocks did not execute its instruction:
+        the schedule is not realizable.
         """
         mismatches: List[str] = []
         terminal: Optional[RunResult] = None
         # Adjacent legs of the same thread merge into one ``run_leg``
-        # call: between them the original loop only woke threads and
-        # re-checked the driven thread's status, and neither can change
-        # its progress (no other thread executed, so no lock was
-        # released and nothing finished).  A failure at a merged
-        # boundary still fails — it just surfaces as a mid-leg stop.
+        # call: between them only a wake and a status re-check could
+        # happen, and neither can change the thread's progress (no other
+        # thread executed, so no lock was released and nothing
+        # finished).  A failure at a merged boundary still fails — it
+        # just surfaces as a mid-leg stop.
         legs: List[Tuple[int, int]] = []
         for tid, count in suffix.schedule():
             if count <= 0:
@@ -298,7 +230,7 @@ class SuffixReplayer:
                 return ReplayReport(ok=False, mismatches=mismatches)
         return self._finish_drive(vm, suffix, terminal, mismatches)
 
-    def _finish_drive(self, vm: VM, suffix: ExecutionSuffix,
+    def _finish_drive(self, vm: BytecodeVM, suffix: ExecutionSuffix,
                       terminal: Optional[RunResult],
                       mismatches: List[str]) -> ReplayReport:
         coredump = suffix.coredump
@@ -311,7 +243,7 @@ class SuffixReplayer:
             return ReplayReport(ok=False, mismatches=mismatches)
         return self._verify(terminal.coredump, coredump, mismatches)
 
-    def _verify_deadlock(self, vm: VM, suffix: ExecutionSuffix,
+    def _verify_deadlock(self, vm: BytecodeVM, suffix: ExecutionSuffix,
                          mismatches: List[str]) -> ReplayReport:
         coredump = suffix.coredump
         tid = coredump.trap.tid

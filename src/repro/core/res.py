@@ -79,12 +79,6 @@ class RESConfig:
     #: pipeline (the A/B baseline for the throughput benchmark); both
     #: modes must produce identical suffixes and prune counters.
     incremental: bool = True
-    #: execute segments and replays on the compiled bytecode engine
-    #: (``ir/bytecode.py`` + ``vm/bytecode_vm.py``) instead of the
-    #: tree-walking interpreter.  Pure engine swap: both settings must
-    #: produce byte-identical suffixes and identical prune counters
-    #: (the A/B oracle in tests and the P1 benchmark enforces it).
-    bytecode: bool = True
 
 
 @dataclass
@@ -177,10 +171,8 @@ class ReverseExecutionSynthesizer:
         self.executor = SegmentExecutor(
             module, solver=self.solver,
             atomic_calls=self.config.atomic_calls,
-            incremental=self.config.incremental,
-            use_bytecode=self.config.bytecode)
-        self.replayer = SuffixReplayer(module, solver=self.solver,
-                                       use_bytecode=self.config.bytecode)
+            incremental=self.config.incremental)
+        self.replayer = SuffixReplayer(module, solver=self.solver)
         self.writer_index = WriterIndexFilter.for_module(module) \
             if self.config.use_writer_index else None
         self.stats = SynthesisStats()

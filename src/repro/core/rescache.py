@@ -67,8 +67,10 @@ from repro.core.rootcause import CauseEvidence, RootCause
 #: misread.  History: 1 = PR 4 initial format; 2 = PR 7
 #: evidence-enriched causes (a schema-1 row would replay a cause
 #: without bucketing evidence and silently coarsen its bucket, so old
-#: rows are recomputed instead).
-CACHE_SCHEMA_VERSION = 2
+#: rows are recomputed instead); 3 = the ``RESConfig.bytecode`` knob
+#: removed (every config fingerprint changed, so the bump lets
+#: ``res cache gc`` drop the rows no key can reach any more).
+CACHE_SCHEMA_VERSION = 3
 
 ROWS_FILE = "rescache.jsonl"
 META_FILE = "meta.json"

@@ -62,25 +62,6 @@ from repro.ir.instructions import (
     StoreInst,
     UnlockInst,
 )
-from repro.ir.bytecode import (
-    OP_ALLOC,
-    OP_ASSERT,
-    OP_BIN_BASE,
-    OP_CALL,
-    OP_CMP_BASE,
-    OP_CONST,
-    OP_FRAMEADDR,
-    OP_FREE,
-    OP_GADDR,
-    OP_INPUT,
-    OP_LOAD,
-    OP_LOCK,
-    OP_MOV,
-    OP_OUTPUT,
-    OP_STORE,
-    OP_UNLOCK,
-    compile_program,
-)
 from repro.ir.module import Module
 from repro.symex.expr import (
     Const,
@@ -168,7 +149,7 @@ class SegmentExecutor:
     def __init__(self, module: Module, solver: Optional[Solver] = None,
                  atomic_calls: FrozenSet[str] = frozenset(),
                  max_fixpoint: int = 16, atomic_budget: int = 50_000,
-                 incremental: bool = True, use_bytecode: bool = True):
+                 incremental: bool = True):
         self.module = module
         self.solver = solver or Solver()
         self.atomic_calls = atomic_calls
@@ -177,9 +158,6 @@ class SegmentExecutor:
         #: incremental mode: COW child snapshots + per-node solver
         #: contexts + the delta-verdict cache (RESConfig.incremental)
         self.incremental = incremental
-        #: compiled program for integer-opcode dispatch (RESConfig.bytecode);
-        #: None = dispatch on IR dataclass types
-        self.program = compile_program(module) if use_bytecode else None
         self._layout = module.layout()
 
     # ------------------------------------------------------------------
@@ -346,12 +324,6 @@ class SegmentExecutor:
             attempt=attempt, force_fresh=force_fresh, frame=post_frame,
             alloc_plan=alloc_plan,
         )
-        code = base = None
-        if self.program is not None:
-            bfunc = self.program.funcs.get(segment.function)
-            if bfunc is not None:
-                code = bfunc.code
-                base = bfunc.block_start[segment.block]
         for k in range(segment.lo, segment.hi):
             instr = block.instrs[k]
             is_final = k == last
@@ -363,10 +335,6 @@ class SegmentExecutor:
                 ctx.exec_return(instr, thread)
             elif instr.is_terminator():
                 ctx.exec_terminator(instr, post_frame, snapshot, thread, segment)
-            elif code is not None:
-                # 1:1 IR-instruction ↔ bytecode op: the compiled opcode
-                # for block-local index k lives at block_start + k.
-                ctx.exec_opcode(code[base + k][0], instr)
             else:
                 ctx.exec_normal(instr)
             attempt.instr_count += 1
@@ -777,59 +745,16 @@ class _ExecContext:
             raise _Prune("call mid-segment (should end the segment)")
 
     def exec_normal(self, instr: Instr) -> None:
-        """Tree-mode dispatch: isinstance chain over the IR dataclasses."""
-        if isinstance(instr, ConstInst):
-            self._n_const(instr)
-        elif isinstance(instr, GAddrInst):
-            self._n_gaddr(instr)
-        elif isinstance(instr, FrameAddrInst):
-            self._n_frameaddr(instr)
-        elif isinstance(instr, MovInst):
-            self._n_mov(instr)
-        elif isinstance(instr, BinInst):
-            self._n_bin(instr)
-        elif isinstance(instr, CmpInst):
-            self._n_cmp(instr)
-        elif isinstance(instr, LoadInst):
-            self._n_load(instr)
-        elif isinstance(instr, StoreInst):
-            self._n_store(instr)
-        elif isinstance(instr, AllocInst):
-            self._n_alloc(instr)
-        elif isinstance(instr, FreeInst):
-            self._n_free(instr)
-        elif isinstance(instr, InputInst):
-            self._n_input(instr)
-        elif isinstance(instr, OutputInst):
-            self._n_output(instr)
-        elif isinstance(instr, LockInst):
-            self._n_lock(instr)
-        elif isinstance(instr, UnlockInst):
-            self._n_unlock(instr)
-        elif isinstance(instr, AssertInst):
-            self._n_assert(instr)
-        elif isinstance(instr, CallInst):
-            self._n_call(instr)
-        elif isinstance(instr, (SpawnInst, JoinInst)):
-            # spawn/join inside a suffix is a search boundary: the thread
-            # set is fixed by the coredump in this reproduction.
-            raise _Prune(f"{type(instr).__name__} inside suffix unsupported")
-        else:
-            raise _Prune(f"unsupported instruction {instr!r}")
-        self.attempt.op_counter += 1
-        self.pc = PC(self.pc.function, self.pc.block, self.pc.index + 1)
-
-    def exec_opcode(self, opcode: int, instr: Instr) -> None:
-        """Bytecode-mode dispatch: O(1) table lookup on the compiled
-        program's integer opcode instead of the isinstance chain.  Same
-        handlers, same effects — opcodes without a symbolic handler
-        (spawn/join, terminators reaching here through malformed
-        segments) fall back to :meth:`exec_normal` for its pruning
-        messages."""
-        handler = _NORMAL_HANDLERS.get(opcode)
+        """Dispatch one non-final, non-terminator instruction through
+        :data:`_NORMAL_HANDLERS` (one lookup on the instruction type)."""
+        handler = _NORMAL_HANDLERS.get(type(instr))
         if handler is None:
-            self.exec_normal(instr)
-            return
+            if isinstance(instr, (SpawnInst, JoinInst)):
+                # spawn/join inside a suffix is a search boundary: the
+                # thread set is fixed by the coredump in this reproduction.
+                raise _Prune(
+                    f"{type(instr).__name__} inside suffix unsupported")
+            raise _Prune(f"unsupported instruction {instr!r}")
         handler(self, instr)
         self.attempt.op_counter += 1
         self.pc = PC(self.pc.function, self.pc.block, self.pc.index + 1)
@@ -1036,27 +961,24 @@ class _ExecContext:
         return regs[op]
 
 
-#: integer-opcode dispatch table for :meth:`_ExecContext.exec_opcode` —
-#: the symbolic mirror of the bytecode VM's dispatch loop.  Built once
-#: at import; every binary/compare opcode maps to the shared handler.
+#: dispatch table for :meth:`_ExecContext.exec_normal`, keyed by IR
+#: instruction type: one handler per instruction that can run inside a
+#: segment.  Terminators and spawn/join have none.
 _NORMAL_HANDLERS = {
-    OP_CONST: _ExecContext._n_const,
-    OP_GADDR: _ExecContext._n_gaddr,
-    OP_FRAMEADDR: _ExecContext._n_frameaddr,
-    OP_MOV: _ExecContext._n_mov,
-    OP_LOAD: _ExecContext._n_load,
-    OP_STORE: _ExecContext._n_store,
-    OP_ALLOC: _ExecContext._n_alloc,
-    OP_FREE: _ExecContext._n_free,
-    OP_INPUT: _ExecContext._n_input,
-    OP_OUTPUT: _ExecContext._n_output,
-    OP_LOCK: _ExecContext._n_lock,
-    OP_UNLOCK: _ExecContext._n_unlock,
-    OP_ASSERT: _ExecContext._n_assert,
-    OP_CALL: _ExecContext._n_call,
+    ConstInst: _ExecContext._n_const,
+    GAddrInst: _ExecContext._n_gaddr,
+    FrameAddrInst: _ExecContext._n_frameaddr,
+    MovInst: _ExecContext._n_mov,
+    BinInst: _ExecContext._n_bin,
+    CmpInst: _ExecContext._n_cmp,
+    LoadInst: _ExecContext._n_load,
+    StoreInst: _ExecContext._n_store,
+    AllocInst: _ExecContext._n_alloc,
+    FreeInst: _ExecContext._n_free,
+    InputInst: _ExecContext._n_input,
+    OutputInst: _ExecContext._n_output,
+    LockInst: _ExecContext._n_lock,
+    UnlockInst: _ExecContext._n_unlock,
+    AssertInst: _ExecContext._n_assert,
+    CallInst: _ExecContext._n_call,
 }
-for _op in range(OP_BIN_BASE, OP_CMP_BASE):
-    _NORMAL_HANDLERS[_op] = _ExecContext._n_bin
-for _op in range(OP_CMP_BASE, OP_LOAD):
-    _NORMAL_HANDLERS[_op] = _ExecContext._n_cmp
-del _op

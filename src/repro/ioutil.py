@@ -17,6 +17,11 @@ to parse or reproduce.  Two patterns:
 * **durable append** — for append-only row logs (the result cache):
   write + flush + fsync in one call, so a crash can truncate at most
   the row being written (readers must skip a torn trailing line).
+
+Append-only logs that grow without bound rotate into closed
+``<name>.seg-NNNNNN`` segments beside the active file
+(:func:`rotate_segment`, :func:`segment_paths`); the job journal and
+the span ring share that format.
 """
 
 from __future__ import annotations
@@ -24,10 +29,12 @@ from __future__ import annotations
 import errno
 import json
 import os
+import re
 import tempfile
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Tuple, Union
+from typing import BinaryIO, Iterator, List, Optional, Tuple, Union
 
 from repro import faultinject
 
@@ -92,23 +99,14 @@ def atomic_write_json(path: Union[str, Path], payload: dict,
         path, json.dumps(payload, indent=indent, sort_keys=sort_keys) + "\n")
 
 
-def append_line(path: Union[str, Path], line: str) -> str:
-    """Durably append one line (no trailing newline needed) to ``path``.
-
-    The append is flushed and fsynced before returning, so a crash can
-    tear at most the line being written; readers of append-only row
-    logs must tolerate (skip) a truncated final line.  Appending *after*
-    such a crash must not merge the new row into the torn fragment
-    (that would corrupt a valid row forever), so a missing final
-    newline is healed first.
-    """
+@contextmanager
+def open_append(path: Union[str, Path]) -> Iterator[BinaryIO]:
+    """``with open_append(path) as handle:`` — binary appends of whole
+    lines, healing a torn tail first.  If a crash left the file without
+    a final newline, one is written, so the next line is not glued onto
+    the fragment (readers would skip both and lose a valid row)."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    fi = faultinject.active()
-    fault = fi.decide("ioutil.append_line", path=target) \
-        if fi is not None else None
-    if fault == "enospc":
-        raise OSError(errno.ENOSPC, f"injected ENOSPC: {target}")
     with open(target, "ab") as handle:
         if handle.tell() > 0:
             with open(target, "rb") as reader:
@@ -116,6 +114,24 @@ def append_line(path: Union[str, Path], line: str) -> str:
                 torn = reader.read(1) != b"\n"
             if torn:
                 handle.write(b"\n")
+        yield handle
+
+
+def append_line(path: Union[str, Path], line: str) -> str:
+    """Durably append one line (no trailing newline needed) to ``path``.
+
+    The append is flushed and fsynced before returning, so a crash can
+    tear at most the line being written; readers of append-only row
+    logs must tolerate (skip) a truncated final line, and the next
+    append heals it (:func:`open_append`).
+    """
+    target = Path(path)
+    fi = faultinject.active()
+    fault = fi.decide("ioutil.append_line", path=target) \
+        if fi is not None else None
+    if fault == "enospc":
+        raise OSError(errno.ENOSPC, f"injected ENOSPC: {target}")
+    with open_append(target) as handle:
         data = line.rstrip("\n").encode("utf-8") + b"\n"
         if fault == "torn":
             # The crash-mid-append case the reader contract exists
@@ -133,6 +149,50 @@ def append_line(path: Union[str, Path], line: str) -> str:
             raise OSError(errno.EIO, f"injected fsync failure: {target}")
         os.fsync(handle.fileno())
     return str(target)
+
+
+_SEGMENT_SUFFIX = re.compile(r"\.seg-(\d+)$")
+
+
+def _segment_number(segment: Path) -> int:
+    return int(_SEGMENT_SUFFIX.search(segment.name).group(1))
+
+
+def segment_paths(path: Union[str, Path]) -> List[Path]:
+    """Closed ``<name>.seg-NNNNNN`` segments of the log whose active
+    file is ``path``, oldest first.  Anything else sharing the prefix —
+    an atomic rewrite's temp file, say — is not a segment."""
+    target = Path(path)
+    segments = [candidate
+                for candidate in target.parent.glob(target.name + ".seg-*")
+                if _SEGMENT_SUFFIX.search(candidate.name)]
+    return sorted(segments, key=_segment_number)
+
+
+def rotate_segment(path: Union[str, Path],
+                   min_bytes: int) -> Optional[Path]:
+    """Rename the active log file ``path`` to the next segment once it
+    holds at least ``min_bytes`` (``<= 0`` never rotates); returns the
+    segment, or None if nothing rotated (rotation is maintenance, never
+    a failure).  Numbers continue from the newest segment, so pruning
+    old ones never makes a rotation overwrite a live one.  Callers
+    serialize this with their appends."""
+    if min_bytes <= 0:
+        return None
+    target = Path(path)
+    try:
+        if target.stat().st_size < min_bytes:
+            return None
+    except OSError:
+        return None
+    segments = segment_paths(target)
+    number = _segment_number(segments[-1]) + 1 if segments else 1
+    segment = target.with_name(f"{target.name}.seg-{number:06d}")
+    try:
+        os.replace(target, segment)
+    except OSError:
+        return None
+    return segment
 
 
 def iter_jsonl(path: Union[str, Path],

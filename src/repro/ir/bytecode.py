@@ -19,7 +19,7 @@ dense register/slot form executed by `vm/bytecode_vm.py`:
 * the mapping is strictly 1:1 with the IR (op ``i`` of a block is IR
   instruction ``i``), so a bytecode instruction pointer converts to a
   source :class:`~repro.vm.state.PC` by table lookup — which is what
-  lets the replayer adopt snapshot threads mid-block.
+  lets the replayer start snapshot threads mid-block.
 
 The layout idiom (slot frames over an immutable compiled program)
 follows the Converge pypyvm dispatch-loop design.

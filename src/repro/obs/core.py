@@ -53,6 +53,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
+from repro import ioutil
+
 #: environment variable holding the sampling rate — a float in
 #: ``[0, 1]``; unset, empty, or 0 disables tracing entirely
 SAMPLE_ENV = "RES_TRACE_SAMPLE"
@@ -127,14 +129,14 @@ class Tracer:
 class SpanRing:
     """Bounded per-node JSONL span sink.
 
-    Rotation mirrors the job journal (active file rotated to a closed
-    ``.seg-NNNNNN`` above ``rotate_bytes``) with one extra rule the
-    journal must not have: segments beyond ``max_segments`` are
-    *deleted*, oldest first.  The journal is a durability record; the
-    ring is telemetry — losing the oldest spans is the design, losing
-    an acknowledged job never is.  Appends are best-effort and
-    swallow ``OSError`` for the same reason: tracing must never be a
-    failure source for the daemon.
+    Rotation is the job journal's (:func:`repro.ioutil.rotate_segment`:
+    active file rotated to a closed ``.seg-NNNNNN`` above
+    ``rotate_bytes``) with one extra rule the journal must not have:
+    segments beyond ``max_segments`` are *deleted*, oldest first.  The
+    journal is a durability record; the ring is telemetry — losing the
+    oldest spans is the design, losing an acknowledged job never is.
+    Appends are best-effort and swallow ``OSError`` for the same
+    reason: tracing must never be a failure source for the daemon.
     """
 
     def __init__(self, path, rotate_bytes: int = 1 << 20,
@@ -147,50 +149,30 @@ class SpanRing:
     def append(self, spans: List[dict]) -> None:
         """Append finished spans (one JSON line each).  No fsync on
         purpose — a SIGKILL may tear the final line, and replay's
-        deterministic span ids re-emit whatever the tear lost."""
+        deterministic span ids re-emit whatever the tear lost.  The
+        next append heals the tear (:func:`repro.ioutil.open_append`),
+        so the first span of the new life is not glued onto it."""
         if not spans:
             return
-        text = "".join(json.dumps(span, sort_keys=True) + "\n"
-                       for span in spans)
+        data = "".join(json.dumps(span, sort_keys=True) + "\n"
+                       for span in spans).encode("utf-8")
         with self._lock:
             try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(text)
+                with ioutil.open_append(self.path) as handle:
+                    handle.write(data)
             except OSError:
                 return
-            self._maybe_rotate_locked()
+            if ioutil.rotate_segment(self.path, self.rotate_bytes) is None:
+                return
+            for old in self.segment_paths()[:-self.max_segments]:
+                try:
+                    old.unlink()
+                except OSError:
+                    break
 
     def segment_paths(self) -> List[Path]:
         """Closed segments, oldest first."""
-        return sorted(self.path.parent.glob(self.path.name + ".seg-*"))
-
-    def _maybe_rotate_locked(self) -> None:
-        if self.rotate_bytes <= 0:
-            return
-        try:
-            if self.path.stat().st_size < self.rotate_bytes:
-                return
-        except OSError:
-            return
-        segments = self.segment_paths()
-        generation = 1
-        if segments:
-            tail = segments[-1].name.rsplit("-", 1)[-1]
-            generation = (int(tail) + 1 if tail.isdigit()
-                          else len(segments) + 1)
-        segment = self.path.with_name(
-            f"{self.path.name}.seg-{generation:06d}")
-        try:
-            os.replace(self.path, segment)
-        except OSError:
-            return
-        segments.append(segment)
-        while len(segments) > self.max_segments:
-            try:
-                segments.pop(0).unlink()
-            except OSError:
-                break
+        return ioutil.segment_paths(self.path)
 
     def read(self, trace_id: Optional[str] = None) -> List[dict]:
         """Every span in the ring, oldest segment first, optionally

@@ -48,7 +48,6 @@ Fleet extensions (PR 9):
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -57,7 +56,13 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ReproError
-from repro.ioutil import append_line, atomic_write_text, iter_jsonl
+from repro.ioutil import (
+    append_line,
+    atomic_write_text,
+    iter_jsonl,
+    rotate_segment,
+    segment_paths,
+)
 from repro.vm.coredump import Coredump
 from repro.core.rescache import cause_from_obj, cause_to_obj
 from repro.core.triage import BugReport, synthesize_result
@@ -275,9 +280,8 @@ class JobJournal:
     # -- segments ------------------------------------------------------------
 
     def segment_paths(self) -> List[Path]:
-        """Closed segments, oldest first (the ``.seg-NNNNNN`` suffix
-        sorts lexicographically in creation order)."""
-        return sorted(self.path.parent.glob(self.path.name + ".seg-*"))
+        """Closed segments, oldest first."""
+        return segment_paths(self.path)
 
     def all_paths(self) -> List[Path]:
         """Every journal file in replay order: closed segments, then
@@ -290,22 +294,8 @@ class JobJournal:
         None).  Atomic under the append lock: rows land either in the
         closed segment or in the fresh active file, never torn across
         the boundary, and replay reads both."""
-        if self.rotate_bytes <= 0:
-            return None
         with self._lock:
-            try:
-                if self.path.stat().st_size < self.rotate_bytes:
-                    return None
-            except OSError:
-                return None  # no active file yet
-            generation = len(self.segment_paths()) + 1
-            segment = self.path.with_name(
-                f"{self.path.name}.seg-{generation:06d}")
-            try:
-                os.replace(self.path, segment)
-            except OSError:
-                return None  # rotation is maintenance, never a failure
-            return segment
+            return rotate_segment(self.path, self.rotate_bytes)
 
     def compact_segments(self) -> dict:
         """Collapse settled jobs in every *closed* segment.

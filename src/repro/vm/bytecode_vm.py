@@ -3,9 +3,10 @@
 `BytecodeVM` is a drop-in :class:`~repro.vm.interpreter.VM` whose hot
 path is a single dispatch loop over integer opcodes and flat slot
 frames (`ir/bytecode.py`), instead of isinstance chains over dataclass
-IR and dict-keyed register files.  Semantics are bit-identical to the
-tree interpreter — same trap kinds and messages, same event stream,
-same coredumps — which the A/B suite enforces.
+IR and dict-keyed register files.  It is the engine suffix replay runs
+on.  Semantics are bit-identical to the tree interpreter, which stays
+as its reference — same trap kinds and messages, same event stream,
+same coredumps — and ``tests/test_bytecode.py`` enforces that.
 
 Three ingredients carry the speedup (Converge pypyvm idiom):
 
@@ -212,35 +213,6 @@ class BytecodeVM(VM):
             base = self.memory.stack_push(tid, bfunc.frame_words)
         return BFrame(bfunc, bfunc.entry_ip, [None] * bfunc.nslots,
                       base, ret_dst, ret_slot)
-
-    def adopt_thread(self, thread: Thread) -> None:
-        """Install an externally built thread, converting any plain
-        :class:`Frame` in its stack (replay snapshots) into slot form.
-        The 1:1 bytecode↔IR mapping makes mid-block adoption exact:
-        ``ip = block_start[block] + index``.
-        """
-        converted: List[BFrame] = []
-        prev_bfunc: Optional[BFunc] = None
-        for frame in thread.frames:
-            if isinstance(frame, BFrame):
-                converted.append(frame)
-                prev_bfunc = frame.bfunc
-                continue
-            bfunc = self.program.funcs[frame.function]
-            ip = bfunc.block_start[frame.block] + frame.index
-            slots: List[Optional[int]] = [None] * bfunc.nslots
-            reg_slots = bfunc.reg_slots
-            for reg, value in frame.regs.items():
-                slots[reg_slots[reg]] = value
-            ret_slot = -1
-            if frame.ret_dst is not None and prev_bfunc is not None:
-                ret_slot = prev_bfunc.reg_slots[frame.ret_dst]
-            converted.append(BFrame(bfunc, ip, slots, frame.frame_base,
-                                    frame.ret_dst, ret_slot))
-            prev_bfunc = bfunc
-        thread.frames = converted
-        self.threads[thread.tid] = thread
-        self.next_tid = max(self.next_tid, thread.tid + 1)
 
     # ------------------------------------------------------------------
     # Stepping

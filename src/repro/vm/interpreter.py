@@ -8,8 +8,9 @@ RES consumes — and never host exceptions.
 The VM exposes two driving modes:
 
 * :meth:`VM.run` — scheduler-driven execution (production runs).
-* :meth:`VM.step_thread` — externally driven single stepping, used by
-  the suffix replayer, which must control interleaving precisely.
+* :meth:`VM.step_thread` — externally driven single stepping, for
+  callers that control interleaving precisely (the suffix replayer and
+  the debugger, both on :class:`~repro.vm.bytecode_vm.BytecodeVM`).
 """
 
 from __future__ import annotations
@@ -178,11 +179,6 @@ class VM:
         self.threads[tid] = Thread(tid=tid, frames=[frame],
                                    start_function=func_name)
         return tid
-
-    def adopt_thread(self, thread: Thread) -> None:
-        """Install an externally built thread (replay from a snapshot)."""
-        self.threads[thread.tid] = thread
-        self.next_tid = max(self.next_tid, thread.tid + 1)
 
     def _make_frame(self, tid: int, func_name: str,
                     ret_dst: Optional[Reg]) -> Frame:

@@ -1,19 +1,17 @@
 """Bytecode engine A/B suite: compiler round trips, VM equivalence,
 interning canonicity, and the solver's range-memo regression.
 
-The bytecode path (`ir/bytecode.py` + `vm/bytecode_vm.py`) is a pure
-engine swap: every observable — outputs, trap, coredump, trace event
-stream, emitted suffixes, prune counters — must be byte-identical to
-the tree-walking interpreter.  These tests pin that contract at three
-layers (compiler, VM, RES search) plus the expression-interning
+The bytecode path (`ir/bytecode.py` + `vm/bytecode_vm.py`) is the
+engine suffix replay runs on, and the tree-walking interpreter is its
+reference: every observable — outputs, trap, coredump, trace event
+stream — must be byte-identical between the two.  These tests pin that
+contract at two layers (compiler and VM) plus the expression-interning
 invariants the symbolic side's caches depend on.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import RESConfig, ReverseExecutionSynthesizer
-from repro.fuzz.oracles import behavioral_counters, suffix_fingerprint
 from repro.ir.bytecode import (
     compile_module,
     compile_program,
@@ -101,30 +99,6 @@ def test_bytecode_vm_matches_on_schedule_dependent_program():
         _, tr, _, fr = _run_both(module, (), seed=seed)
         assert fr.status is tr.status
         assert fr.outputs == tr.outputs
-
-
-# ---------------------------------------------------------------------------
-# RES-level A/B: engine choice is invisible to the search
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("name", ["figure1_overflow", "div_by_zero"])
-def test_res_bytecode_engine_is_invisible(name):
-    workload = REGISTRY.get(name)
-    result = workload.run_once(seed=0)
-    assert result.trapped
-
-    def fingerprints(bytecode):
-        config = RESConfig(max_depth=12, max_nodes=4000, bytecode=bytecode)
-        res = ReverseExecutionSynthesizer(workload.module, result.coredump,
-                                          config)
-        suffixes = [suffix_fingerprint(s) for s in res.suffixes()]
-        return suffixes, behavioral_counters(res.stats)
-
-    fast_suffixes, fast_counters = fingerprints(True)
-    tree_suffixes, tree_counters = fingerprints(False)
-    assert fast_suffixes == tree_suffixes
-    assert fast_counters == tree_counters
-    assert fast_suffixes  # the comparison must compare something
 
 
 # ---------------------------------------------------------------------------

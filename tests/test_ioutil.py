@@ -166,6 +166,29 @@ def test_append_after_torn_line_does_not_merge_rows(tmp_path):
     assert lines == ['{"a": 1}', '{"b": 2', '{"c": 3}']
 
 
+def test_rotate_segment_numbers_past_the_newest_segment(tmp_path):
+    """Segments number from the newest one, so a log that prunes its
+    oldest segment (the span ring) never overwrites a live one, and an
+    atomic rewrite's temp file beside them is not a segment."""
+    from repro.ioutil import rotate_segment, segment_paths
+
+    log = tmp_path / "log.jsonl"
+    log.write_text("row\n")
+    assert rotate_segment(log, 0) is None  # rotation disabled
+    assert rotate_segment(log, 1 << 20) is None  # still small
+    first = rotate_segment(log, 1)
+    assert first.name == "log.jsonl.seg-000001" and not log.exists()
+    assert rotate_segment(log, 1) is None  # no active file
+    log.write_text("row\n")
+    second = rotate_segment(log, 1)
+    first.unlink()
+    log.write_text("row\n")
+    third = rotate_segment(log, 1)
+    assert third.name == "log.jsonl.seg-000003"
+    (tmp_path / "log.jsonl.seg-000002.tmp123").write_text("row\n")
+    assert segment_paths(log) == [second, third]
+
+
 # ---------------------------------------------------------------------------
 # Injected disk faults (repro.faultinject): the reader-side recovery
 # contract under ENOSPC, torn appends, fsync failures, and interrupted

@@ -23,6 +23,7 @@ What must hold, in the ISSUE's order:
   per-phase histograms land on ``/metrics``.
 """
 
+import json
 import subprocess
 import sys
 import urllib.request
@@ -137,6 +138,20 @@ def test_span_ring_rotates_and_stays_bounded(tmp_path):
     ring.append([dup])
     spans = ring.read(trace_id=newest)
     assert len(spans) == 1 and spans[0]["start"] == 400.0
+
+
+def test_span_ring_append_after_torn_tail_keeps_every_span(tmp_path):
+    """A SIGKILL mid-append tears the ring's last line.  Journal replay
+    re-emits what the old life lost, but nothing re-emits the new
+    life's spans, so its first append must not glue a span onto the
+    fragment."""
+    ring = obs.SpanRing(tmp_path / "spans.jsonl")
+    torn = json.dumps(obs.make_span("t1", "job", 1.0, 0.5, node="n"))
+    ring.path.write_text(torn[:len(torn) // 2])
+    ring.append([obs.make_span("t2", "job", 2.0, 0.5, node="n")])
+    ring.append([obs.make_span("t2", "admit", 2.1, 0.1, node="n")])
+    assert [span["name"] for span in ring.read(trace_id="t2")] \
+        == ["job", "admit"]
 
 
 def test_activation_env_and_context(monkeypatch):

@@ -2,11 +2,17 @@
 
 import pytest
 
-from repro.ir.instructions import CallInst, LoadInst, StoreInst
+from repro.ir.instructions import (
+    CallInst,
+    JoinInst,
+    LoadInst,
+    SpawnInst,
+    StoreInst,
+)
 from repro.minic import compile_source
 from repro.vm import RunStatus, VM
 from repro.core import CandidateEnumerator, SegmentKind, SymbolicSnapshot
-from repro.core.segments import boundaries, prev_boundary
+from repro.core.segments import Segment, boundaries, prev_boundary
 
 
 def block_of(src, func="main", label="entry"):
@@ -137,3 +143,45 @@ func main() {
         assert cands
         assert all(c.kind is SegmentKind.RETURN for c in cands)
         assert all(c.function == "worker" for c in cands)
+
+
+def test_dispatch_table_has_one_handler_per_segment_instruction():
+    """The symbolic executor dispatches on the IR instruction type: one
+    handler for every instruction a segment can run, i.e. every
+    ``Instr`` subclass except terminators and spawn/join."""
+    from repro.core import slice_exec
+    from repro.ir import instructions
+
+    thread_ops = (instructions.SpawnInst, instructions.JoinInst)
+    runnable = {cls for cls in vars(instructions).values()
+                if isinstance(cls, type)
+                and issubclass(cls, instructions.Instr)
+                and cls is not instructions.Instr
+                and not cls.__new__(cls).is_terminator()
+                and cls not in thread_ops}
+    assert instructions.StoreInst in runnable
+    assert set(slice_exec._NORMAL_HANDLERS) == runnable
+
+
+@pytest.mark.parametrize("kind", [SpawnInst, JoinInst])
+def test_spawn_or_join_reaching_the_dispatcher_prunes(kind):
+    module, snap = crash_snapshot("""
+global int flag;
+func worker(int u) { flag = 1; return 0; }
+func main() {
+    int t = spawn worker(0);
+    join(t);
+    assert(flag == 2, "boom");
+    return 0;
+}
+""")
+    from repro.core.slice_exec import SegmentExecutor
+
+    block = module.function("main").block("entry")
+    index = next(i for i, ins in enumerate(block.instrs)
+                 if isinstance(ins, kind))
+    segment = Segment(tid=0, function="main", block="entry", lo=index,
+                      hi=index + 1, kind=SegmentKind.NORMAL, depth=0)
+    result = SegmentExecutor(module).execute(snap, segment)
+    assert not result.feasible
+    assert result.reason == f"{kind.__name__} inside suffix unsupported"
