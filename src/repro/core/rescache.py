@@ -69,8 +69,11 @@ from repro.core.rootcause import CauseEvidence, RootCause
 #: without bucketing evidence and silently coarsen its bucket, so old
 #: rows are recomputed instead); 3 = the ``RESConfig.bytecode`` knob
 #: removed (every config fingerprint changed, so the bump lets
-#: ``res cache gc`` drop the rows no key can reach any more).
-CACHE_SCHEMA_VERSION = 3
+#: ``res cache gc`` drop the rows no key can reach any more); 4 = the
+#: solver asserts constraints in sequence order and orders search
+#: variables by (candidates, degree, name), so verdicts and exported
+#: component caches computed under the old orders are recomputed.
+CACHE_SCHEMA_VERSION = 4
 
 ROWS_FILE = "rescache.jsonl"
 META_FILE = "meta.json"

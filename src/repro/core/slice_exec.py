@@ -205,20 +205,6 @@ class SegmentExecutor:
         if self.incremental:
             verdict, child_ctx = self.solver.solve_extended(
                 self._context(snapshot), tuple(new_constraints))
-            if not verdict.is_sat:
-                # The chained context's propagation state is order-built,
-                # so it can be weaker than a from-scratch solve of the
-                # same conjunction (UNKNOWN where naive proves UNSAT) or
-                # *stronger* (UNSAT where naive only reaches UNKNOWN and
-                # admits the candidate).  Align every non-SAT verdict on
-                # the naive solve so the prune decision — and with it
-                # every search counter — is engine-independent; a SAT
-                # verdict carries a verified model and can never
-                # contradict naive (both differential-fuzzer findings).
-                verdict = self.solver.solve(
-                    list(child.constraints) + new_constraints)
-                if child_ctx is not None:
-                    child_ctx.result = verdict
         else:
             verdict = self.solver.solve(
                 list(child.constraints) + new_constraints)
@@ -570,10 +556,7 @@ class _ExecContext:
         if self.executor.incremental:
             result, _ = self.solver.solve_extended(
                 self.snapshot.solver_ctx, delta, want_context=False)
-            if result.is_sat or result.is_unsat:
-                return not result.is_unsat
-            # UNKNOWN: fall through to the flat solve so both engine
-            # modes prune identically.
+            return not result.is_unsat
         constraints = list(self.child.constraints) + list(delta)
         return not self.solver.solve(constraints).is_unsat
 

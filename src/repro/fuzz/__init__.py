@@ -11,8 +11,10 @@ package buys that coverage at scale:
   guaranteed failure site.
 * :mod:`repro.fuzz.oracles` — the cross-checks one generated failure is
   run through: RES incremental vs. naive (byte-identical suffixes and
-  prune counters), independent replay feasibility on the concrete
-  interpreter, and weakest-precondition consistency.
+  prune counters, which hold exactly when the chained solver's
+  snapshots, caches, and model reuse are exact), independent replay
+  feasibility on the concrete interpreter, and weakest-precondition
+  consistency.
 * :mod:`repro.fuzz.campaign` — the campaign engine: generate, crash,
   cross-check, and record divergences as reproducible ``(seed, config)``
   artifacts, with optional multiprocessing fan-out.

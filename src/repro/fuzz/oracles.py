@@ -5,8 +5,11 @@ Four independent ways of asking "did RES get this right?":
 1. **Incremental vs. naive** — the two ``RESConfig.incremental`` modes
    must emit byte-identical suffixes (fingerprints cover the schedule,
    per-step effects, and the constraint set) and identical behavioral
-   prune counters.  This is the PR-1 equivalence claim, previously
-   asserted on two benchmark workloads only.
+   prune counters.  A chained solve reaches the verdict of a flat solve
+   of the same conjunction by construction (the solver asserts in
+   sequence order), so what this checks is that the chaining machinery
+   is exact: copy-on-write snapshots, preamble and resolved-binding
+   reuse, the component and delta caches, and replay's model reuse.
 2. **Replay feasibility** — every emitted suffix must replay on the
    concrete interpreter through a *fresh* replayer (fresh solver, no
    model reuse), independently re-verifying the paper's feasibility

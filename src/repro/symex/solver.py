@@ -137,8 +137,8 @@ class SolverContext:
     unsat: bool = False
     #: cache-key namespace for deltas extending this context
     token: int = 0
-    #: verdict of solving exactly ``constraints`` (set by solve_extended);
-    #: lets downstream consumers (suffix replay) reuse the model
+    #: verdict of solving exactly ``constraints`` (set by solve_extended):
+    #: what a flat solve returns too, so suffix replay reuses it as is
     result: Optional[SolveResult] = None
     #: union of free symbols over ``constraints`` — lets a child's
     #: recheck compare models on the prefix instead of re-evaluating it
@@ -286,11 +286,14 @@ class Solver:
 
         Returns the verdict plus (when ``want_context``) a child context
         for the combined conjunction, ready for further extension.
-        Verdicts are cached per (context, delta-set): sibling candidates
-        generating identical checks hit the cache and skip the search.
+        Verdicts are cached per (context, ordered delta): sibling
+        candidates generating identical checks hit the cache and skip
+        the search.  The key keeps the delta's order because a verdict
+        depends on assertion order; siblings raising the same
+        constraints in another order are decided separately.
         """
         self.stat_calls += 1
-        key = (ctx.token, frozenset(delta))
+        key = (ctx.token, tuple(delta))
         cached = self._delta_cache.get(key)
         if cached is not None:
             self.stat_cache_hits += 1
@@ -320,28 +323,19 @@ class Solver:
                               expr: Expr) -> Tuple[Optional[int], bool]:
         """Incremental form of :meth:`unique_value` over ``ctx + delta``.
 
-        Both queries fall back to a from-scratch solve when the chained
-        context cannot decide them: the incremental path must never be
-        *less* able to find a model or prove uniqueness than the flat
-        path, or the two engine modes concretize addresses differently
-        (differential-fuzzer finding).
+        Both queries are chained solves with no fallback: each returns
+        the verdict :meth:`solve` reaches on the flat conjunction, so
+        the two engine modes concretize addresses identically.
         """
         first, _ = self.solve_extended(ctx, tuple(delta), want_context=False)
         if not first.is_sat or first.model is None:
-            if first.is_unsat:
-                return None, False
-            first = self.solve(list(ctx.constraints) + list(delta))
-            if not first.is_sat or first.model is None:
-                return None, False
+            return None, False
         value = evaluate(expr, first.model)
         if value is None:
             return None, False
         exclusion = bin_expr("ne", expr, Const(value))
         second, _ = self.solve_extended(ctx, tuple(delta) + (exclusion,),
                                         want_context=False)
-        if not second.is_sat and not second.is_unsat:
-            second = self.solve(list(ctx.constraints) + list(delta)
-                                + [exclusion])
         return value, second.is_unsat
 
     # ------------------------------------------------------------------
@@ -457,7 +451,10 @@ class Solver:
     # ------------------------------------------------------------------
 
     def _assert_all(self, state: _State, constraints: Sequence[Expr]) -> SolveStatus:
-        pending = [truth_of(c) for c in constraints]
+        # Popped first to last (re-queued constraints before the next
+        # original), so a flat assert of prefix + delta repeats
+        # context_for(prefix) then extend_context(delta) step for step.
+        pending = [truth_of(c) for c in reversed(constraints)]
         for constraint in pending:
             state.all_syms |= free_syms(constraint)
         while pending:
@@ -467,12 +464,9 @@ class Solver:
             # bound *later* (t1 ↦ f(t2) recorded before t2 ↦ 0), so one
             # substitution pass can re-introduce bound symbols.  Iterate
             # to a fixpoint so contradictions fold to Const(0) instead
-            # of leaking a stale symbol into the domain/residual paths —
-            # a leak that made the verdict depend on assertion order
-            # (found by the differential fuzzer: from-scratch solves
-            # returned UNKNOWN where incremental extension proved
-            # UNSAT).  The cap guards against cyclic bindings, which
-            # _isolate should never produce.
+            # of leaking a stale symbol into the domain/residual paths.
+            # The cap guards against cyclic bindings, which _isolate
+            # should never produce.
             for _ in range(8):
                 if free_syms(constraint).isdisjoint(state.bindings.keys()):
                     break
@@ -861,10 +855,7 @@ class Solver:
             # Interval refutation: an over-approximation of the
             # constraint's value decides it when the bounded search
             # cannot (e.g. ((n & 3) + 1) > 5000 over a full 2^64
-            # domain).  Shared by the flat and incremental paths, this
-            # keeps verdicts from depending on which assertion order
-            # happened to propagate a domain first — the differential
-            # fuzzer found exactly such order-dependent UNKNOWNs.
+            # domain).
             truth = self._range_of(constraint, state, range_memo)
             if truth.is_empty() or truth.max() == 0:
                 return SolveResult(SolveStatus.UNSAT)
@@ -1062,7 +1053,11 @@ class Solver:
                 candidates[name] = guesses
                 exhaustive[name] = False
 
-        order = sorted(unbound, key=lambda n: len(candidates[n]))
+        # Fewest candidates, then highest degree (propagation binds a
+        # symbol of one linear equation), then name: never set order.
+        degree = {n: sum(n in free_syms(c) for c in residual) for n in unbound}
+        order = sorted(unbound,
+                       key=lambda n: (len(candidates[n]), -degree[n], n))
         nodes = [0]
         assignment: Dict[str, int] = {}
 

@@ -468,10 +468,15 @@ def _free_ports(count):
             sock.close()
 
 
-def _spawn_fleet_node(cwd, node, port, peers, extra=(), fault_env=None):
+def _spawn_fleet_node(cwd, node, port, peers, hash_seed, extra=(),
+                      fault_env=None):
+    """Start one ``res serve`` node.  Each node gets its own explicit
+    ``hash_seed``, as separate hosts would: verdicts must not depend on
+    it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get(
         "PYTHONPATH", "")
+    env["PYTHONHASHSEED"] = str(hash_seed)
     for key in ("RES_FAULT_SPEC", "RES_FAULT_LOG"):
         env.pop(key, None)
     if fault_env:
@@ -540,15 +545,19 @@ def _http_shutdown(proc, base_url):
     return proc.wait(timeout=60)
 
 
-def test_fleet_smoke_cycle(tmp_path, corpus):
-    """The CI gate: a three-node fleet accepts a corpus through the
-    URL-list client, settles everything fleet-wide, and shuts down
-    clean with every node's store complete."""
+def test_fleet_smoke_cycle(tmp_path, corpus, batch):
+    """The CI gate: a three-node fleet, each node under its own hash
+    seed, accepts a corpus through the URL-list client, settles
+    everything fleet-wide, and shuts down clean with every node's store
+    complete and equal under ``verdict_view`` to the in-process batch
+    run."""
+    __, batch_view = batch
     ports = dict(zip(("node-a", "node-b", "node-c"), _free_ports(3)))
     procs = {}
     try:
-        for node, port in ports.items():
-            procs[node] = _spawn_fleet_node(tmp_path, node, port, ports)
+        for hash_seed, (node, port) in enumerate(ports.items(), start=1):
+            procs[node] = _spawn_fleet_node(tmp_path, node, port, ports,
+                                            hash_seed)
         urls = [f"http://127.0.0.1:{port}" for port in ports.values()]
         targets = FleetTargets(urls)
         acked = []
@@ -580,6 +589,8 @@ def test_fleet_smoke_cycle(tmp_path, corpus):
             assert store["complete"] is True
             assert len(store["results"]) == len(corpus.entries), \
                 f"{node} store is missing fleet-wide history"
+            assert _node_view(tmp_path, node) == batch_view, \
+                f"{node} store diverged from the batch reference"
     finally:
         for proc in procs.values():
             if proc.poll() is None:
@@ -636,9 +647,9 @@ def test_fleet_chaos_node_sigkill_loses_nothing(tmp_path, corpus):
             acked[entry.report.report_id] = body["job_id"]
 
     try:
-        for node, port in ports.items():
+        for hash_seed, (node, port) in enumerate(ports.items(), start=1):
             procs[node] = _spawn_fleet_node(tmp_path, node, port, ports,
-                                            extra=extra,
+                                            hash_seed, extra=extra,
                                             fault_env=fault_env)
         targets = FleetTargets(list(url_of.values()))
         push(corpus.entries[:4], targets)
@@ -648,10 +659,11 @@ def test_fleet_chaos_node_sigkill_loses_nothing(tmp_path, corpus):
         procs["node-b"].wait(timeout=30)
         push(corpus.entries[4:],
              FleetTargets([url_of["node-a"], url_of["node-c"]]))
-        # The killed node returns (faults off), resumes its journal,
-        # and the deferred submissions land.
+        # The killed node returns (faults off, a new process with a new
+        # hash seed), resumes its journal, and the deferred submissions
+        # land.
         procs["node-b"] = _spawn_fleet_node(tmp_path, "node-b",
-                                            ports["node-b"], ports,
+                                            ports["node-b"], ports, 4,
                                             extra=extra)
         for __ in range(5):
             if not deferred:

@@ -485,9 +485,9 @@ def test_obs_smoke_cycle(tmp_path):
             for node, port in ports.items()}
     procs = {}
     try:
-        for node, port in ports.items():
+        for hash_seed, (node, port) in enumerate(ports.items(), start=1):
             procs[node] = _spawn_fleet_node(
-                tmp_path, node, port, ports,
+                tmp_path, node, port, ports, hash_seed,
                 extra=("--trace-sample", "1"))
         acked = []
         for entry in corpus.entries:
