@@ -24,8 +24,9 @@ perf:
 triage-bench:
 	$(PYTHON) -m pytest benchmarks/test_p3_triage_throughput.py -q -m perf
 
-# P4 warm-start triage benchmark: warm (cached) vs cold re-triage of
-# an evolved 64-report corpus (appends `warm_triage` rows).
+# P4 warm-start triage benchmark (also a CI gate): warm (cached) vs
+# cold re-triage of an evolved 64-report corpus, with exact hit counts
+# and warm views byte-identical to cold (appends `warm_triage` rows).
 warm-bench:
 	$(PYTHON) -m pytest benchmarks/test_p4_warm_triage.py -q -m perf
 

@@ -30,8 +30,10 @@ Correctness contract (regression-tested by ``tests/test_rescache.py``):
   bumped ``RESConfig`` knob, bumped ``CACHE_SCHEMA_VERSION`` — is a
   miss, never a partial hit;
 * a corrupt or truncated cache file is skipped with a warning, never a
-  crash and never a wrong hit (the row log is append-only, so a crash
-  mid-append can tear at most the final line);
+  crash and never a wrong hit (the row log is a durable
+  :class:`repro.ioutil.SegmentedLog`, so a crash mid-append can tear at
+  most the final line, and any damaged row — torn, garbage, or not
+  UTF-8 — reads as "skipped N corrupt row(s)");
 * a warm run over an unchanged corpus is byte-identical to a cold run
   (buckets, rows, accuracy) — enforced by ``tests/test_triage.py`` and
   ``benchmarks/test_p4_warm_triage.py``.
@@ -39,7 +41,6 @@ Correctness contract (regression-tested by ``tests/test_rescache.py``):
 On-disk layout (all writes durable via :mod:`repro.ioutil`)::
 
     <cache-dir>/
-      meta.json           # schema version, informational
       rescache.jsonl      # append-only verdict rows, compacted by gc
       solver/<module_fp>.json   # exported residual-component caches
 """
@@ -57,7 +58,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.ioutil import append_line, atomic_write_json
+from repro.ioutil import SegmentedLog, atomic_write_json
 from repro.vm.state import PC
 from repro.core.res import RESConfig
 from repro.core.rootcause import CauseEvidence, RootCause
@@ -76,7 +77,6 @@ from repro.core.rootcause import CauseEvidence, RootCause
 CACHE_SCHEMA_VERSION = 4
 
 ROWS_FILE = "rescache.jsonl"
-META_FILE = "meta.json"
 SOLVER_DIR = "solver"
 
 
@@ -264,16 +264,14 @@ class ResultCache:
     daemon forks worker processes that each hold their own instance
     over the same spool:
 
-    * appends were always safe (``append_line`` writes whole fsynced
-      lines to an O_APPEND handle; readers skip torn rows), but the
-      memoized index used to go stale the moment a sibling process
-      appended.  The index now remembers the byte offset it has
-      consumed and, on every lookup miss, tail-reads whatever other
-      appenders added since — a verdict cached by any worker process
-      becomes a warm hit everywhere without re-parsing the whole log.
+    * appends are whole fsynced lines on an ``O_APPEND`` handle, and
+      the in-memory index remembers the byte offset it has read
+      through.  On every lookup miss it reads whatever any appender
+      added since, so a verdict cached by any worker process becomes a
+      warm hit everywhere without re-parsing the whole log.
     * solver sidecars are read-merge-write documents, so the in-process
-      lock is not enough; the merge cycle now holds an ``flock`` on a
-      per-module lock file as well.
+      lock is not enough; the merge cycle also holds an ``flock`` on a
+      per-module lock file.
 
     (``gc`` remains a single-writer operation: run it from one process
     while no daemon is appending, like any compaction.)
@@ -283,87 +281,54 @@ class ResultCache:
                  readonly: bool = False):
         self.root = Path(directory)
         self.readonly = readonly
-        self._index: Optional[Dict[str, dict]] = None
-        #: raw (non-blank) line count observed by the last index load —
-        #: entries vs. raw rows is the compaction/corruption signal
-        self._raw_lines = 0
-        #: byte offset consumed through the last *complete* row line —
-        #: the tail-refresh cursor for cross-process appends
-        self._tail_offset = 0
-        #: serializes index (re)loads and appends across daemon threads
+        self._log = SegmentedLog(self.root / ROWS_FILE)
+        self._index: Dict[str, dict] = {}
+        #: non-blank lines read — entries vs. lines is the
+        #: compaction/corruption signal
+        self._lines = 0
+        #: byte offset read through (the end of the last complete line)
+        self._offset = 0
+        #: serializes index refreshes and appends across daemon threads
         self._lock = threading.RLock()
 
     # -- paths ---------------------------------------------------------------
 
     @property
     def rows_path(self) -> Path:
-        return self.root / ROWS_FILE
-
-    @property
-    def meta_path(self) -> Path:
-        return self.root / META_FILE
+        return self._log.path
 
     def solver_path(self, module_fp: str) -> Path:
         return self.root / SOLVER_DIR / f"{module_fp}.json"
 
-    # -- loading -------------------------------------------------------------
+    # -- reading -------------------------------------------------------------
 
-    def _load_index(self) -> Dict[str, dict]:
-        """Parse the row log; corrupt/torn rows are skipped with a
-        warning (a crash mid-append legitimately tears the final line;
-        anything else is damage we refuse to guess about)."""
-        with self._lock:
-            return self._load_index_locked()
-
-    def _load_index_locked(self) -> Dict[str, dict]:
-        if self._index is not None:
-            return self._index
-        index: Dict[str, dict] = {}
-        self._raw_lines = 0
-        self._tail_offset = 0
-        raw = b""
-        if self.rows_path.exists():
-            try:
-                raw = self.rows_path.read_bytes()
-            except OSError as exc:
-                warnings.warn(f"rescache: unreadable cache file "
-                              f"{self.rows_path}: {exc}; starting cold",
-                              RuntimeWarning, stacklevel=3)
-                raw = b""
-        self._index = index
-        self._ingest_locked(raw, offset=0)
-        if self._tail_offset < len(raw):
-            # A trailing fragment at *load* time is the torn final line
-            # of a crashed appender (not a sibling's in-flight append,
-            # as it would be mid-refresh): count it as the contractual
-            # torn row and consume it — the next append heals the
-            # missing newline before writing.
-            self._raw_lines += 1
-            self._tail_offset = len(raw)
-            warnings.warn(
-                f"rescache: skipped 1 corrupt row(s) in "
-                f"{self.rows_path}; they will be recomputed",
-                RuntimeWarning, stacklevel=4)
-        return index
-
-    def _ingest_locked(self, raw: bytes, offset: int) -> None:
-        """Parse row bytes starting at ``offset`` into the index,
-        advancing the tail cursor through the last *complete* line (a
-        trailing fragment is someone's in-flight append — it stays
-        unconsumed and re-parses once its newline lands)."""
-        cut = raw.rfind(b"\n") + 1
-        self._tail_offset = offset + cut
-        skipped = 0
+    def _refresh_locked(self) -> Dict[str, dict]:
+        """Fold in the rows any process appended since the last read:
+        one stat, and a read of only the unseen bytes (all of them
+        again if ``gc`` shrank the log).  Damaged rows are skipped with
+        a warning and recomputed.  Bytes after the last newline may be
+        a sibling's append in flight, so they stay unread; only a load
+        (a read from 0) counts them as the torn row a crash left."""
         try:
-            text = raw[:cut].decode("utf-8")
-        except UnicodeDecodeError:
-            text = raw[:cut].decode("utf-8", errors="replace")
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            self._raw_lines += 1
+            size = self.rows_path.stat().st_size
+        except OSError:
+            return self._index
+        if size == self._offset:
+            return self._index
+        if size < self._offset:
+            self._index, self._lines, self._offset = {}, 0, 0
+        try:
+            chunk = self._log.read(offset=self._offset)
+        except OSError as exc:
+            warnings.warn(f"rescache: unreadable cache file "
+                          f"{self.rows_path}: {exc}; starting cold",
+                          RuntimeWarning, stacklevel=3)
+            return self._index
+        skipped = chunk.skipped
+        if chunk.torn and self._offset == 0:
+            skipped += 1
+        for row in chunk.rows:
             try:
-                row = json.loads(line)
                 if row["schema"] != CACHE_SCHEMA_VERSION:
                     continue  # other schema: unreachable, not corrupt
                 # Reject rows whose digest does not match their own
@@ -379,36 +344,14 @@ class ResultCache:
                 skipped += 1
                 continue
             self._index[row["key"]] = row
+        self._lines += len(chunk.rows) + chunk.skipped
+        self._offset = chunk.end
         if skipped:
             warnings.warn(
                 f"rescache: skipped {skipped} corrupt row(s) in "
                 f"{self.rows_path}; they will be recomputed",
                 RuntimeWarning, stacklevel=3)
-
-    def _refresh_index_locked(self) -> Dict[str, dict]:
-        """Fold in rows other *processes* appended since the last read.
-
-        O(new bytes): one stat, and a read only of the unseen region.
-        A file smaller than the consumed offset means someone compacted
-        (``gc``) underneath us — reload from scratch."""
-        index = self._load_index_locked()
-        try:
-            size = self.rows_path.stat().st_size
-        except OSError:
-            return index
-        if size == self._tail_offset:
-            return index
-        if size < self._tail_offset:
-            self._index = None  # compacted underneath us: full reload
-            return self._load_index_locked()
-        try:
-            with open(self.rows_path, "rb") as handle:
-                handle.seek(self._tail_offset)
-                raw = handle.read()
-        except OSError:
-            return index
-        self._ingest_locked(raw, offset=self._tail_offset)
-        return index
+        return self._index
 
     # -- the strict hit test -------------------------------------------------
 
@@ -423,12 +366,12 @@ class ResultCache:
         if key.schema != CACHE_SCHEMA_VERSION:
             return None
         with self._lock:
-            row = self._load_index_locked().get(key.digest())
+            row = self._index.get(key.digest())
             if row is None:
                 # Miss: another process may have cached it since the
-                # last read — tail-read the unseen bytes before giving
-                # up.  Hits stay O(1); misses cost one stat.
-                row = self._refresh_index_locked().get(key.digest())
+                # last read — read the unseen bytes before giving up.
+                # Hits stay O(1); misses cost one stat.
+                row = self._refresh_locked().get(key.digest())
         if row is None:
             return None
         if (row["module_fp"] != key.module_fp
@@ -453,20 +396,13 @@ class ResultCache:
             "verdict": verdict.to_obj(),
         }
         with self._lock:
-            if not self.meta_path.exists():
-                atomic_write_json(self.meta_path,
-                                  {"schema": CACHE_SCHEMA_VERSION,
-                                   "format": "rescache-jsonl"})
-            index = self._load_index_locked()  # before the append: the
-            #                           new row must not be counted twice
-            append_line(self.rows_path, json.dumps(row, sort_keys=True))
-            index[row["key"]] = row
-            # The tail cursor stays put: sibling processes may have
-            # appended between our last read and this write, and
-            # skipping to end-of-file would swallow their rows.  The
-            # next refresh re-parses our own row — idempotent — along
-            # with theirs, and keeps the raw-line count exact.
-            self._refresh_index_locked()
+            # Fold in unseen rows first, so damage in them warns now.
+            # The offset stays before our own row: jumping past it
+            # would swallow rows siblings append meanwhile, and reading
+            # it again later is idempotent.
+            self._refresh_locked()
+            self._log.append([row])
+            self._index[row["key"]] = row
 
     # -- solver-cache sidecars ----------------------------------------------
 
@@ -543,9 +479,8 @@ class ResultCache:
         """Machine-readable cache health (also ``res cache stats``)."""
         with self._lock, warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            self._load_index_locked()
-            index = dict(self._refresh_index_locked())
-            raw_lines = self._raw_lines
+            index = dict(self._refresh_locked())
+            lines = self._lines
         size = self.rows_path.stat().st_size \
             if self.rows_path.exists() else 0
         solver_dir = self.root / SOLVER_DIR
@@ -557,8 +492,8 @@ class ResultCache:
             "directory": str(self.root),
             "schema": CACHE_SCHEMA_VERSION,
             "entries": len(index),
-            "rows": raw_lines,
-            "stale_or_corrupt_rows": max(0, raw_lines - len(index)),
+            "rows": lines,
+            "stale_or_corrupt_rows": max(0, lines - len(index)),
             "rows_bytes": size,
             "solver_modules": len(solver_files),
             "solver_bytes": sum(p.stat().st_size for p in solver_files),
@@ -571,35 +506,24 @@ class ResultCache:
         verdicts and solver sidecars for modules no longer in any live
         corpus are dropped too.  Returns before/after stats."""
         with self._lock:
-            before = self.stats()
+            before = self.stats()  # reads every row written so far
             keep = set(keep_module_fps) \
                 if keep_module_fps is not None else None
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                index = self._load_index_locked()
-            kept_rows = [row for row in index.values()
+            kept_rows = [row for row in self._index.values()
                          if keep is None or row["module_fp"] in keep]
             kept_rows.sort(key=lambda row: row["key"])
             if self.readonly:
                 return {"before": before, "after": before,
                         "readonly": True}
-            from repro.ioutil import atomic_write_text
-
-            text = "".join(json.dumps(row, sort_keys=True) + "\n"
-                           for row in kept_rows)
-            atomic_write_text(self.rows_path, text)
-            atomic_write_json(self.meta_path,
-                              {"schema": CACHE_SCHEMA_VERSION,
-                               "format": "rescache-jsonl"})
+            self._log.rewrite(self.rows_path, kept_rows)
             if keep is not None:
                 solver_dir = self.root / SOLVER_DIR
                 if solver_dir.exists():
                     for path in solver_dir.glob("*.json"):
                         if path.stem not in keep:
                             path.unlink()
-            self._index = {row["key"]: row for row in kept_rows}
-            self._raw_lines = len(kept_rows)
-            self._tail_offset = len(text.encode("utf-8"))
+            # Read the compacted log afresh (``stats`` below does).
+            self._index, self._lines, self._offset = {}, 0, 0
             return {"before": before, "after": self.stats(),
                     "readonly": False}
 

@@ -38,7 +38,9 @@ site                      kinds
 ``ioutil.append_line``    ``enospc`` (fail before writing), ``torn``
                           (write a prefix, then fail — the crash-mid-
                           append case), ``fsync`` (data written, fsync
-                          "fails")
+                          "fails"); decided once per append to a
+                          durable ``SegmentedLog`` (the job journal,
+                          the result cache), never for the span ring
 ``ioutil.atomic_write``   ``enospc``, ``interrupt`` (die between the
                           temp-file write and the rename)
 ``worker.task``           ``crash`` (:class:`WorkerCrashError` — the

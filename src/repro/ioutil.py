@@ -1,4 +1,4 @@
-"""Small shared I/O helpers (durable file writes).
+"""Small shared I/O helpers: atomic rewrites and the append-only log.
 
 Anything the system persists incrementally — fuzz divergence artifacts,
 the triage report store, the RES result cache, the benchmark log — must
@@ -14,14 +14,13 @@ to parse or reproduce.  Two patterns:
   even though the write "succeeded".  The directory fsync makes the
   rename itself durable; it is best-effort because some filesystems
   (and platforms) refuse to fsync a directory fd.
-* **durable append** — for append-only row logs (the result cache):
-  write + flush + fsync in one call, so a crash can truncate at most
-  the row being written (readers must skip a torn trailing line).
-
-Append-only logs that grow without bound rotate into closed
-``<name>.seg-NNNNNN`` segments beside the active file
-(:func:`rotate_segment`, :func:`segment_paths`); the job journal and
-the span ring share that format.
+* **append-only log** — :class:`SegmentedLog`, the one implementation
+  under the job journal, the span ring and the result cache: whole
+  JSON rows appended to an active file (fsynced when the log is
+  durable, so a crash tears at most the final line), closed
+  ``<name>.seg-NNNNNN`` segments beside it, and a reader that resumes
+  from a byte offset, stops at the last newline, and skips and counts
+  every damaged line — torn, garbage, or not UTF-8.
 """
 
 from __future__ import annotations
@@ -31,10 +30,9 @@ import json
 import os
 import re
 import tempfile
-import warnings
-from contextlib import contextmanager
+import threading
 from pathlib import Path
-from typing import BinaryIO, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Union
 
 from repro import faultinject
 
@@ -99,56 +97,18 @@ def atomic_write_json(path: Union[str, Path], payload: dict,
         path, json.dumps(payload, indent=indent, sort_keys=sort_keys) + "\n")
 
 
-@contextmanager
-def open_append(path: Union[str, Path]) -> Iterator[BinaryIO]:
-    """``with open_append(path) as handle:`` — binary appends of whole
-    lines, healing a torn tail first.  If a crash left the file without
-    a final newline, one is written, so the next line is not glued onto
-    the fragment (readers would skip both and lose a valid row)."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "ab") as handle:
-        if handle.tell() > 0:
-            with open(target, "rb") as reader:
-                reader.seek(-1, os.SEEK_END)
-                torn = reader.read(1) != b"\n"
-            if torn:
-                handle.write(b"\n")
-        yield handle
+class LogChunk(NamedTuple):
+    """What one :meth:`SegmentedLog.read` found: the ``rows`` that
+    parsed as JSON objects, in order; the offset ``end`` just past the
+    last complete line, where the next read resumes; how many other
+    non-blank complete lines were ``skipped`` as damage; and whether
+    bytes follow the last newline (``torn``: a crash's torn final line,
+    or an append still in flight, left unread)."""
 
-
-def append_line(path: Union[str, Path], line: str) -> str:
-    """Durably append one line (no trailing newline needed) to ``path``.
-
-    The append is flushed and fsynced before returning, so a crash can
-    tear at most the line being written; readers of append-only row
-    logs must tolerate (skip) a truncated final line, and the next
-    append heals it (:func:`open_append`).
-    """
-    target = Path(path)
-    fi = faultinject.active()
-    fault = fi.decide("ioutil.append_line", path=target) \
-        if fi is not None else None
-    if fault == "enospc":
-        raise OSError(errno.ENOSPC, f"injected ENOSPC: {target}")
-    with open_append(target) as handle:
-        data = line.rstrip("\n").encode("utf-8") + b"\n"
-        if fault == "torn":
-            # The crash-mid-append case the reader contract exists
-            # for: a prefix of the row reaches the file, the caller
-            # sees a failure, and iter_jsonl must skip the fragment.
-            handle.write(data[:max(1, len(data) // 2)])
-            handle.flush()
-            raise OSError(errno.ENOSPC,
-                          f"injected torn append: {target}")
-        handle.write(data)
-        handle.flush()
-        if fault == "fsync":
-            # Data written but durability not promised — the caller
-            # must treat the row as lost (it may or may not survive).
-            raise OSError(errno.EIO, f"injected fsync failure: {target}")
-        os.fsync(handle.fileno())
-    return str(target)
+    rows: List[dict]
+    end: int
+    skipped: int
+    torn: bool
 
 
 _SEGMENT_SUFFIX = re.compile(r"\.seg-(\d+)$")
@@ -158,88 +118,141 @@ def _segment_number(segment: Path) -> int:
     return int(_SEGMENT_SUFFIX.search(segment.name).group(1))
 
 
-def segment_paths(path: Union[str, Path]) -> List[Path]:
-    """Closed ``<name>.seg-NNNNNN`` segments of the log whose active
-    file is ``path``, oldest first.  Anything else sharing the prefix —
-    an atomic rewrite's temp file, say — is not a segment."""
-    target = Path(path)
-    segments = [candidate
-                for candidate in target.parent.glob(target.name + ".seg-*")
-                if _SEGMENT_SUFFIX.search(candidate.name)]
-    return sorted(segments, key=_segment_number)
+def _encode(rows: Iterable[dict]) -> str:
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
-def rotate_segment(path: Union[str, Path],
-                   min_bytes: int) -> Optional[Path]:
-    """Rename the active log file ``path`` to the next segment once it
-    holds at least ``min_bytes`` (``<= 0`` never rotates); returns the
-    segment, or None if nothing rotated (rotation is maintenance, never
-    a failure).  Numbers continue from the newest segment, so pruning
-    old ones never makes a rotation overwrite a live one.  Callers
-    serialize this with their appends."""
-    if min_bytes <= 0:
-        return None
-    target = Path(path)
-    try:
-        if target.stat().st_size < min_bytes:
-            return None
-    except OSError:
-        return None
-    segments = segment_paths(target)
-    number = _segment_number(segments[-1]) + 1 if segments else 1
-    segment = target.with_name(f"{target.name}.seg-{number:06d}")
-    try:
-        os.replace(target, segment)
-    except OSError:
-        return None
-    return segment
+class SegmentedLog:
+    """An append-only JSONL log: the active file ``path`` plus closed
+    ``<name>.seg-NNNNNN`` segments beside it.
 
-
-def iter_jsonl(path: Union[str, Path],
-               strict: bool = False) -> Iterator[Tuple[int, dict]]:
-    """Yield ``(line_number, row)`` for every parseable JSON-object row
-    of an append-only log written via :func:`append_line`.
-
-    The crash-safety contract of durable appends is "at most the final
-    line tears", so readers must treat an unparseable line as damage to
-    skip, not an error: a replayed journal loses at most the row that
-    was being written when the process died.  Blank lines and rows that
-    are not JSON objects are skipped the same way, with a warning when
-    it is more than the contractual torn final line.
-
-    An *unreadable* file is different: the data may be fine and merely
-    inaccessible right now, so treating it as empty would silently
-    discard the whole log (and let a writer re-issue identities the
-    log already assigned).  By default that skips with a warning;
-    ``strict`` re-raises the ``OSError`` so the caller can refuse to
-    proceed — what a durable journal's replay must do.
+    A *durable* log fsyncs every append and is the
+    ``ioutil.append_line`` fault site; a non-durable one (telemetry)
+    only writes.  A crash tears at most the final line, which readers
+    never read; the next append heals it into a damaged line that they
+    skip.  Threads may share an instance (appends and rotations are
+    serialized); processes sharing a file rely on ``O_APPEND``.
     """
-    target = Path(path)
-    if not target.exists():
-        return
-    try:
-        text = target.read_text()
-    except OSError as exc:
-        if strict:
-            raise
-        warnings.warn(f"iter_jsonl: unreadable log {target}: {exc}; "
-                      f"treating as empty", RuntimeWarning, stacklevel=2)
-        return
-    lines = text.splitlines()
-    skipped = 0
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+
+    def __init__(self, path: Union[str, Path], durable: bool = True):
+        self.path = Path(path)
+        self.durable = durable
+        self._lock = threading.Lock()
+
+    def segments(self) -> List[Path]:
+        """Closed segments, oldest first.  Anything else sharing the
+        prefix — an atomic rewrite's temp file, say — is not one."""
+        segments = [candidate for candidate
+                    in self.path.parent.glob(self.path.name + ".seg-*")
+                    if _SEGMENT_SUFFIX.search(candidate.name)]
+        return sorted(segments, key=_segment_number)
+
+    def files(self) -> List[Path]:
+        """Every file of the log in order: the closed segments, then
+        the active file (which may not exist yet)."""
+        return self.segments() + [self.path]
+
+    def append(self, rows: Iterable[dict]) -> None:
+        """Append ``rows`` as whole JSON lines to the active file, in
+        one write.  If the file does not end in a newline (a crash tore
+        its last line), the write starts with one, so the new rows are
+        not glued onto the fragment.  A durable append is fsynced before
+        returning, and an injected fault is decided once per call."""
+        data = _encode(rows).encode("utf-8")
+        with self._lock:
+            fi = faultinject.active() if self.durable else None
+            fault = fi.decide("ioutil.append_line", path=self.path) \
+                if fi is not None else None
+            if fault == "enospc":
+                raise OSError(errno.ENOSPC, f"injected ENOSPC: {self.path}")
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self.path, "a+b") as handle:
+                size = handle.tell()
+                if size and os.pread(handle.fileno(), 1, size - 1) != b"\n":
+                    data = b"\n" + data
+                if fault == "torn":
+                    # The crash-mid-append case the reader contract
+                    # exists for: a prefix of the rows reaches the file
+                    # and the caller sees a failure.
+                    handle.write(data[:max(1, len(data) // 2)])
+                    handle.flush()
+                    raise OSError(errno.ENOSPC,
+                                  f"injected torn append: {self.path}")
+                handle.write(data)
+                handle.flush()
+                if fault == "fsync":
+                    # Data written but durability not promised — the
+                    # caller must treat the rows as lost (they may or
+                    # may not survive).
+                    raise OSError(errno.EIO,
+                                  f"injected fsync failure: {self.path}")
+                if self.durable:
+                    os.fsync(handle.fileno())
+
+    def rotate(self, min_bytes: int) -> Optional[Path]:
+        """Rename the active file to the next closed segment once it
+        holds at least ``min_bytes`` (``<= 0`` never rotates); returns
+        the segment, or None if nothing rotated (rotation is
+        maintenance, never a failure).  Numbers continue from the newest
+        segment, so deleting old ones never makes a rotation overwrite
+        a live one."""
+        if min_bytes <= 0:
+            return None
+        with self._lock:
+            try:
+                if self.path.stat().st_size < min_bytes:
+                    return None
+            except OSError:
+                return None
+            segments = self.segments()
+            number = _segment_number(segments[-1]) + 1 if segments else 1
+            segment = self.path.with_name(
+                f"{self.path.name}.seg-{number:06d}")
+            try:
+                os.replace(self.path, segment)
+            except OSError:
+                return None
+            return segment
+
+    def read(self, path: Optional[Path] = None,
+             offset: int = 0) -> LogChunk:
+        """Parse one file of the log (the active file by default) from
+        byte ``offset`` through its last newline.
+
+        A line that is not a JSON object is damage to skip and count,
+        never an error: a reader loses at most the rows a crash damaged.
+        A missing file reads as empty.  Any other ``OSError`` propagates:
+        an unreadable file is not an empty one, and only the caller
+        knows whether to refuse, warn, or carry on.
+        """
+        target = self.path if path is None else Path(path)
         try:
-            row = json.loads(line)
-        except ValueError:
-            if number < len(lines):
-                skipped += 1  # mid-file damage, beyond the contract
-            continue
-        if isinstance(row, dict):
-            yield number, row
-        elif number < len(lines):
-            skipped += 1  # valid JSON but not a row object: damage too
-    if skipped:
-        warnings.warn(f"iter_jsonl: skipped {skipped} corrupt mid-file "
-                      f"row(s) in {target}", RuntimeWarning, stacklevel=2)
+            with open(target, "rb") as handle:
+                handle.seek(offset)
+                data = handle.read()
+        except FileNotFoundError:
+            return LogChunk([], offset, 0, False)
+        end = data.rfind(b"\n") + 1
+        rows: List[dict] = []
+        skipped = 0
+        for line in data[:end].split(b"\n"):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line.decode("utf-8"))
+            except ValueError:  # UnicodeDecodeError is one too
+                row = None
+            if isinstance(row, dict):
+                rows.append(row)
+            else:
+                skipped += 1
+        return LogChunk(rows, offset + end, skipped, end < len(data))
+
+    def rewrite(self, path: Path, rows: Iterable[dict]) -> int:
+        """Atomically replace one file of the log with ``rows``; returns
+        the bytes written.  Callers keep appends away from ``path``
+        meanwhile: a closed segment has none, and the active file's
+        owner holds its own lock."""
+        text = _encode(rows)
+        atomic_write_text(path, text)
+        return len(text.encode("utf-8"))

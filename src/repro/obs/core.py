@@ -22,10 +22,12 @@ Design constraints, in order (same contract as ``repro.faultinject``):
   SIGKILL) that emit "the same" span produce the same id, so readers
   dedup by id instead of guessing.
 * **Bounded on disk.**  Spans land in a per-node JSONL ring
-  (:class:`SpanRing`) with journal-style rotation *plus* segment
-  pruning: the ring keeps at most ``max_segments`` closed segments and
-  deletes the oldest, so tracing a long-lived daemon costs a fixed
-  disk budget, not an unbounded log.
+  (:class:`SpanRing`), a non-durable :class:`repro.ioutil.SegmentedLog`
+  (the journal's log, without the fsync and the fault site) whose
+  rotation also prunes: the ring keeps at most ``max_segments`` closed
+  segments and deletes the oldest, so tracing a long-lived daemon
+  costs a fixed disk budget, not an unbounded log.  Reads skip damaged
+  lines silently.
 
 The span model (one JSON object per line)::
 
@@ -44,13 +46,11 @@ and the drive phases as children of their attempt: ``compile-N``,
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 import time
 import uuid
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
 from repro import ioutil
@@ -129,50 +129,43 @@ class Tracer:
 class SpanRing:
     """Bounded per-node JSONL span sink.
 
-    Rotation is the job journal's (:func:`repro.ioutil.rotate_segment`:
-    active file rotated to a closed ``.seg-NNNNNN`` above
-    ``rotate_bytes``) with one extra rule the journal must not have:
-    segments beyond ``max_segments`` are *deleted*, oldest first.  The
-    journal is a durability record; the ring is telemetry — losing the
-    oldest spans is the design, losing an acknowledged job never is.
-    Appends are best-effort and swallow ``OSError`` for the same
-    reason: tracing must never be a failure source for the daemon.
+    Rotation is the job journal's (active file rotated to a closed
+    ``.seg-NNNNNN`` above ``rotate_bytes``) with one extra rule the
+    journal must not have: segments beyond ``max_segments`` are
+    *deleted*, oldest first.  The journal is a durability record; the
+    ring is telemetry — losing the oldest spans is the design, losing
+    an acknowledged job never is.  Appends are best-effort and swallow
+    ``OSError`` for the same reason: tracing must never be a failure
+    source for the daemon.
     """
 
     def __init__(self, path, rotate_bytes: int = 1 << 20,
                  max_segments: int = 8):
-        self.path = Path(path)
+        #: not durable: no fsync, and outside the append fault site
+        self.log = ioutil.SegmentedLog(path, durable=False)
+        self.path = self.log.path
         self.rotate_bytes = int(rotate_bytes)
         self.max_segments = max(1, int(max_segments))
-        self._lock = threading.Lock()
 
     def append(self, spans: List[dict]) -> None:
         """Append finished spans (one JSON line each).  No fsync on
         purpose — a SIGKILL may tear the final line, and replay's
         deterministic span ids re-emit whatever the tear lost.  The
-        next append heals the tear (:func:`repro.ioutil.open_append`),
-        so the first span of the new life is not glued onto it."""
+        next append heals the tear, so the first span of the new life
+        is not glued onto it."""
         if not spans:
             return
-        data = "".join(json.dumps(span, sort_keys=True) + "\n"
-                       for span in spans).encode("utf-8")
-        with self._lock:
+        try:
+            self.log.append(spans)
+        except OSError:
+            return
+        if self.log.rotate(self.rotate_bytes) is None:
+            return
+        for old in self.log.segments()[:-self.max_segments]:
             try:
-                with ioutil.open_append(self.path) as handle:
-                    handle.write(data)
+                old.unlink()
             except OSError:
-                return
-            if ioutil.rotate_segment(self.path, self.rotate_bytes) is None:
-                return
-            for old in self.segment_paths()[:-self.max_segments]:
-                try:
-                    old.unlink()
-                except OSError:
-                    break
-
-    def segment_paths(self) -> List[Path]:
-        """Closed segments, oldest first."""
-        return ioutil.segment_paths(self.path)
+                break
 
     def read(self, trace_id: Optional[str] = None) -> List[dict]:
         """Every span in the ring, oldest segment first, optionally
@@ -181,22 +174,12 @@ class SpanRing:
         the same deterministic id, and the re-emission is the truth
         of the attempt that actually settled."""
         by_id: Dict[str, dict] = {}
-        for path in self.segment_paths() + [self.path]:
+        for path in self.log.files():
             try:
-                with open(path, encoding="utf-8") as handle:
-                    lines = handle.readlines()
+                spans = self.log.read(path).rows
             except OSError:
                 continue
-            for line in lines:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    span = json.loads(line)
-                except ValueError:
-                    continue  # torn final line: the SIGKILL contract
-                if not isinstance(span, dict):
-                    continue
+            for span in spans:
                 if trace_id is not None and span.get("trace") != trace_id:
                     continue
                 sid = span.get("span")

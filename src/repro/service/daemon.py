@@ -149,12 +149,6 @@ class DaemonConfig:
     journal_rotate_mb: float = 0.0
     #: how often the monitor tails peer journal segments (seconds)
     fleet_sync_interval: float = 0.25
-    #: flight recorder (PR 10): rotate the active span-ring segment
-    #: above this many bytes; the ring keeps at most ``span_segments``
-    #: closed segments and deletes the oldest — tracing costs a fixed
-    #: disk budget however long the daemon lives
-    span_rotate_bytes: int = 1 << 20
-    span_segments: int = 8
 
     @property
     def journal_path(self) -> Path:
@@ -306,10 +300,7 @@ class TriageDaemon:
         self.metrics = DaemonMetrics(self.config.latency_window)
         #: flight-recorder sink — construction is cheap (a Path and a
         #: lock); nothing is written unless a sampled job emits spans
-        self._span_ring = obs.SpanRing(
-            self.config.spans_path,
-            rotate_bytes=self.config.span_rotate_bytes,
-            max_segments=self.config.span_segments)
+        self._span_ring = obs.SpanRing(self.config.spans_path)
         self._store = TriageStore(self.service_config) \
             if self.service_config.store_path else None
 
@@ -1788,7 +1779,7 @@ class TriageDaemon:
         if not self.journal.rotate_bytes:
             return
         try:
-            if self.journal.maybe_rotate() is not None:
+            if self.journal.log.rotate(self.journal.rotate_bytes) is not None:
                 self.journal.compact_segments()
         except Exception as exc:  # noqa: BLE001 - monitor boundary
             warnings.warn(f"intake daemon: journal maintenance hit "
@@ -1823,7 +1814,7 @@ class TriageDaemon:
             peer_journal = JobJournal(spool / journal_file_for(peer))
             try:
                 size = sum(path.stat().st_size
-                           for path in peer_journal.all_paths()
+                           for path in peer_journal.log.files()
                            if path.exists())
             except OSError:
                 continue

@@ -2,10 +2,10 @@
 
 Every submission the daemon accepts becomes an :class:`IntakeJob`, and
 every state change that must survive a crash is appended to the
-:class:`JobJournal` — an fsynced JSONL log with the same crash-safety
-contract as the PR 4 result-cache row log (``ioutil.append_line``: a
-dying process tears at most the final line, and replay skips torn
-rows).  Two row kinds matter:
+:class:`JobJournal` — a durable :class:`repro.ioutil.SegmentedLog`, like
+the result cache's rows: a dying process tears at most the final line,
+which replay never reads, and replay skips any other damaged row (torn,
+garbage, or not UTF-8) with a warning.  Two row kinds matter:
 
 * ``submit`` — carries *everything needed to re-run the job*: the
   program source, the full coredump, the fingerprint, the priority.
@@ -48,21 +48,15 @@ Fleet extensions (PR 9):
 from __future__ import annotations
 
 import json
-import threading
 import time
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.errors import ReproError
-from repro.ioutil import (
-    append_line,
-    atomic_write_text,
-    iter_jsonl,
-    rotate_segment,
-    segment_paths,
-)
+from repro.ioutil import SegmentedLog
 from repro.vm.coredump import Coredump
 from repro.core.rescache import cause_from_obj, cause_to_obj
 from repro.core.triage import BugReport, synthesize_result
@@ -259,43 +253,36 @@ class IntakeJob:
 class JobJournal:
     """Durable append-only journal of intake events.
 
-    Appends are serialized behind a lock (HTTP threads and workers
-    journal concurrently) and each row is fsynced before the daemon
-    acts on it — the "journal first, acknowledge second" rule is what
-    makes a 202 response a promise that survives SIGKILL.
+    Each row is fsynced before the daemon acts on it — the "journal
+    first, acknowledge second" rule is what makes a 202 response a
+    promise that survives SIGKILL.  HTTP threads and workers journal
+    concurrently; the log serializes their appends.
     """
 
     def __init__(self, path: Union[str, Path], rotate_bytes: int = 0):
-        self.path = Path(path)
+        self.log = SegmentedLog(path)
+        #: the active file (closed segments sit beside it)
+        self.path = self.log.path
         #: rotate the active file to a closed segment above this many
         #: bytes (0 disables rotation — the legacy single-file journal)
         self.rotate_bytes = int(rotate_bytes)
-        self._lock = threading.Lock()
 
     def _append(self, row: dict) -> None:
-        row = dict(row, schema=JOURNAL_SCHEMA)
-        with self._lock:
-            append_line(self.path, json.dumps(row, sort_keys=True))
+        self.log.append([dict(row, schema=JOURNAL_SCHEMA)])
+
+    def _rows(self, path: Path) -> List[dict]:
+        """This journal's rows in one of its files.  A torn final line
+        is the crash contract and goes unread; damage beyond it is
+        skipped with a warning.  ``OSError`` propagates."""
+        chunk = self.log.read(path)
+        if chunk.skipped:
+            warnings.warn(f"journal: skipped {chunk.skipped} corrupt "
+                          f"mid-file row(s) in {path}", RuntimeWarning,
+                          stacklevel=3)
+        return [row for row in chunk.rows
+                if row.get("schema") == JOURNAL_SCHEMA]
 
     # -- segments ------------------------------------------------------------
-
-    def segment_paths(self) -> List[Path]:
-        """Closed segments, oldest first."""
-        return segment_paths(self.path)
-
-    def all_paths(self) -> List[Path]:
-        """Every journal file in replay order: closed segments, then
-        the active file."""
-        return self.segment_paths() + [self.path]
-
-    def maybe_rotate(self) -> Optional[Path]:
-        """Rotate the active journal to a closed segment when it has
-        outgrown ``rotate_bytes``; returns the new segment path (or
-        None).  Atomic under the append lock: rows land either in the
-        closed segment or in the fresh active file, never torn across
-        the boundary, and replay reads both."""
-        with self._lock:
-            return rotate_segment(self.path, self.rotate_bytes)
 
     def compact_segments(self) -> dict:
         """Collapse settled jobs in every *closed* segment.
@@ -316,14 +303,13 @@ class JobJournal:
         """
         stats = {"segments": 0, "rows_before": 0, "rows_after": 0,
                  "bytes_before": 0, "bytes_after": 0}
-        segments = self.segment_paths()
+        segments = self.log.segments()
         if not segments:
             return stats
+        files = {path: self._rows(path) for path in self.log.files()}
         settles: Dict[str, dict] = {}
-        for path in self.all_paths():
-            for __, row in iter_jsonl(path):
-                if row.get("schema") != JOURNAL_SCHEMA:
-                    continue
+        for rows in files.values():
+            for row in rows:
                 job_id = row.get("job_id")
                 if not isinstance(job_id, str):
                     continue
@@ -333,8 +319,7 @@ class JobJournal:
                 elif event == "settled":
                     settles[job_id] = dict(row, event=row.get("kind"))
         for path in segments:
-            rows = [row for __, row in iter_jsonl(path)
-                    if row.get("schema") == JOURNAL_SCHEMA]
+            rows = files[path]
             stats["rows_before"] += len(rows)
             try:
                 stats["bytes_before"] += path.stat().st_size
@@ -361,12 +346,9 @@ class JobJournal:
                     out.append(materialized)  # still in flight somewhere
                     continue
                 out.append(self._settled_row(materialized, settle))
-            text = "".join(json.dumps(row, sort_keys=True) + "\n"
-                           for row in out)
-            atomic_write_text(path, text)
+            stats["bytes_after"] += self.log.rewrite(path, out)
             stats["segments"] += 1
             stats["rows_after"] += len(out)
-            stats["bytes_after"] += len(text.encode("utf-8"))
         return stats
 
     @staticmethod
@@ -543,10 +525,10 @@ class JobJournal:
         # direction (a representative always has the lower seq).
         submits: Dict[str, dict] = {}
         settles: Dict[str, dict] = {}
-        rows: List[Tuple[int, dict]] = []
-        for path in self.all_paths():
+        rows: List[dict] = []
+        for path in self.log.files():
             try:
-                rows.extend(iter_jsonl(path, strict=True))
+                rows.extend(self._rows(path))
             except OSError as exc:
                 # An unreadable journal is NOT an empty one: starting
                 # over would drop every acknowledged job and re-issue
@@ -558,9 +540,7 @@ class JobJournal:
                     f"intake journal {path} exists but is unreadable "
                     f"({exc}); refusing to start with a blank history"
                 ) from exc
-        for _, row in rows:
-            if row.get("schema") != JOURNAL_SCHEMA:
-                continue
+        for row in rows:
             event = row.get("event")
             job_id = row.get("job_id")
             if not isinstance(job_id, str):

@@ -408,13 +408,36 @@ def test_client_fleet_failover_and_round_robin(http_pair, corpus):
 # Journal segments: rotation, compaction, bounded spool, clean replay
 # ---------------------------------------------------------------------------
 
+def test_peer_journal_with_a_non_utf8_byte_still_syncs(tmp_path, corpus):
+    """Bit rot in a *peer's* journal is damage to skip like any
+    unparseable row.  Every node replays its peers' journals while it
+    starts, so an error here would keep the whole fleet down."""
+    peer = _fleet_daemon(tmp_path, "node-b", {"node-b": ""}, workers=1)
+    peer.start()
+    entry = corpus.entries[0]
+    spec = corpus.programs[entry.program_key]
+    status, __ = peer.submit(
+        {"key": spec.key, "source": spec.source, "name": spec.name},
+        entry.report.coredump.to_json(), report_id=entry.report.report_id)
+    assert status == 202
+    assert peer.wait_idle(60)
+    peer.shutdown(drain=True)
+    with open(peer.config.journal_path, "ab") as handle:
+        handle.write(b'{"event": "done", "job_id": "node-b-j\xff"}\n')
+    with pytest.warns(RuntimeWarning, match="corrupt mid-file"):
+        node = _fleet_daemon(tmp_path, "node-a",
+                             {"node-a": "", "node-b": ""}, workers=0)
+    assert node.healthz()["jobs"] == 1, "the peer's settled job is adopted"
+    node.shutdown()
+
+
 def test_journal_rotation_compaction_and_replay(tmp_path, corpus):
     daemon = _fleet_daemon(tmp_path, "solo", {}, workers=1)
     daemon.start()
     _submit_routed({"solo": daemon}, corpus)
     assert daemon.wait_idle(120)
     journal = daemon.journal
-    before = sum(path.stat().st_size for path in journal.all_paths()
+    before = sum(path.stat().st_size for path in journal.log.files()
                  if path.exists())
     # Arm rotation only now, so ``before`` measures the unrotated
     # journal (the monitor would otherwise compact it mid-run), then
@@ -423,9 +446,9 @@ def test_journal_rotation_compaction_and_replay(tmp_path, corpus):
     for __ in range(16):
         daemon._journal_maintenance()
     daemon.shutdown(drain=True)
-    segments = journal.segment_paths()
+    segments = journal.log.segments()
     assert segments, "an 8-report journal must have rotated at ~2 KB"
-    after = sum(path.stat().st_size for path in journal.all_paths()
+    after = sum(path.stat().st_size for path in journal.log.files()
                 if path.exists())
     assert after < before, \
         f"compaction must shrink the spool ({before} -> {after} bytes)"

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.ioutil import atomic_write_json, atomic_write_text
+from repro.ioutil import SegmentedLog, atomic_write_json, atomic_write_text
 
 
 def test_atomic_write_creates_parents_and_content(tmp_path):
@@ -135,18 +135,20 @@ def test_fsync_dir_returns_false_on_missing_directory(tmp_path):
 
 
 def test_append_line_is_flushed_and_fsynced(tmp_path, monkeypatch):
+    """A durable append fsyncs once per call; a non-durable one (the
+    span ring) never does."""
     import os as os_module
-
-    from repro.ioutil import append_line
 
     fsyncs = []
     real_fsync = os_module.fsync
     monkeypatch.setattr(os_module, "fsync",
                         lambda fd: (fsyncs.append(fd), real_fsync(fd))[1])
-    target = tmp_path / "rows" / "log.jsonl"
-    append_line(target, '{"a": 1}')
-    append_line(target, '{"b": 2}\n')  # trailing newline not doubled
-    assert target.read_text() == '{"a": 1}\n{"b": 2}\n'
+    log = SegmentedLog(tmp_path / "rows" / "log.jsonl")
+    log.append([{"a": 1}])
+    log.append([{"b": 2}, {"c": 3}])
+    assert log.path.read_text() == '{"a": 1}\n{"b": 2}\n{"c": 3}\n'
+    assert len(fsyncs) == 2
+    SegmentedLog(tmp_path / "spans.jsonl", durable=False).append([{"s": 1}])
     assert len(fsyncs) == 2
 
 
@@ -154,15 +156,13 @@ def test_append_after_torn_line_does_not_merge_rows(tmp_path):
     """Appending after a crash-torn final line must heal the missing
     newline first — otherwise the new row merges into the fragment and
     becomes permanently unreadable (code-review finding)."""
-    from repro.ioutil import append_line
-
-    target = tmp_path / "log.jsonl"
-    append_line(target, '{"a": 1}')
+    log = SegmentedLog(tmp_path / "log.jsonl")
+    log.append([{"a": 1}])
     # simulate a crash mid-append: torn fragment, no trailing newline
-    with open(target, "a") as handle:
+    with open(log.path, "a") as handle:
         handle.write('{"b": 2')
-    append_line(target, '{"c": 3}')
-    lines = target.read_text().splitlines()
+    log.append([{"c": 3}])
+    lines = log.path.read_text().splitlines()
     assert lines == ['{"a": 1}', '{"b": 2', '{"c": 3}']
 
 
@@ -170,23 +170,22 @@ def test_rotate_segment_numbers_past_the_newest_segment(tmp_path):
     """Segments number from the newest one, so a log that prunes its
     oldest segment (the span ring) never overwrites a live one, and an
     atomic rewrite's temp file beside them is not a segment."""
-    from repro.ioutil import rotate_segment, segment_paths
-
-    log = tmp_path / "log.jsonl"
-    log.write_text("row\n")
-    assert rotate_segment(log, 0) is None  # rotation disabled
-    assert rotate_segment(log, 1 << 20) is None  # still small
-    first = rotate_segment(log, 1)
-    assert first.name == "log.jsonl.seg-000001" and not log.exists()
-    assert rotate_segment(log, 1) is None  # no active file
-    log.write_text("row\n")
-    second = rotate_segment(log, 1)
+    log = SegmentedLog(tmp_path / "log.jsonl")
+    log.path.write_text("row\n")
+    assert log.rotate(0) is None  # rotation disabled
+    assert log.rotate(1 << 20) is None  # still small
+    first = log.rotate(1)
+    assert first.name == "log.jsonl.seg-000001" and not log.path.exists()
+    assert log.rotate(1) is None  # no active file
+    log.path.write_text("row\n")
+    second = log.rotate(1)
     first.unlink()
-    log.write_text("row\n")
-    third = rotate_segment(log, 1)
+    log.path.write_text("row\n")
+    third = log.rotate(1)
     assert third.name == "log.jsonl.seg-000003"
     (tmp_path / "log.jsonl.seg-000002.tmp123").write_text("row\n")
-    assert segment_paths(log) == [second, third]
+    assert log.segments() == [second, third]
+    assert log.files() == [second, third, log.path]
 
 
 # ---------------------------------------------------------------------------
@@ -196,44 +195,49 @@ def test_rotate_segment_numbers_past_the_newest_segment(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_injected_enospc_append_fails_before_writing(tmp_path):
+    """The site is decided once per durable append: a non-durable log
+    (the span ring) neither consumes a call index nor fails."""
     from repro import faultinject
-    from repro.ioutil import append_line, iter_jsonl
 
-    target = tmp_path / "log.jsonl"
-    append_line(target, '{"a": 1}')
+    log = SegmentedLog(tmp_path / "log.jsonl")
+    log.append([{"a": 1}])
     with faultinject.injected(
             {"seed": 7, "sites": {"ioutil.append_line":
                                   {"at": [0], "kinds": ["enospc"]}}}):
+        SegmentedLog(tmp_path / "spans.jsonl", durable=False).append(
+            [{"s": 1}])
         with pytest.raises(OSError, match="ENOSPC|injected"):
-            append_line(target, '{"b": 2}')
+            log.append([{"b": 2}])
     # ENOSPC fired before the open: the log is byte-identical, and a
     # later append (disk recovered) lands cleanly.
-    assert [row for __, row in iter_jsonl(target)] == [{"a": 1}]
-    append_line(target, '{"c": 3}')
-    assert [row for __, row in iter_jsonl(target)] == [{"a": 1}, {"c": 3}]
+    assert log.read().rows == [{"a": 1}]
+    log.append([{"c": 3}])
+    assert log.read().rows == [{"a": 1}, {"c": 3}]
 
 
 def test_injected_torn_append_reader_skips_fragment(tmp_path):
     """The crash-mid-append case: a prefix of the row reaches the file,
-    the writer sees a failure, and iter_jsonl must skip the fragment —
-    then the next append heals the missing newline instead of merging
-    into the fragment."""
+    the writer sees a failure, and the reader leaves the fragment
+    unread — then the next append heals the missing newline instead of
+    merging into the fragment, and readers skip and count it."""
     from repro import faultinject
-    from repro.ioutil import append_line, iter_jsonl
 
-    target = tmp_path / "log.jsonl"
+    log = SegmentedLog(tmp_path / "log.jsonl")
     with faultinject.injected(
             {"seed": 7, "sites": {"ioutil.append_line":
                                   {"at": [1], "kinds": ["torn"]}}}):
-        append_line(target, '{"a": 1}')
+        log.append([{"a": 1}])
         with pytest.raises(OSError, match="torn"):
-            append_line(target, '{"b": 2}')
-        assert not target.read_text().endswith("\n")
-        assert [row for __, row in iter_jsonl(target)] == [{"a": 1}]
-        append_line(target, '{"c": 3}')
-    with pytest.warns(RuntimeWarning, match="corrupt mid-file"):
-        rows = [row for __, row in iter_jsonl(target)]
-    assert rows == [{"a": 1}, {"c": 3}]
+            log.append([{"b": 2}])
+        assert not log.path.read_text().endswith("\n")
+        chunk = log.read()
+        assert chunk.rows == [{"a": 1}] and chunk.torn
+        assert chunk.end == len('{"a": 1}\n') and chunk.skipped == 0
+        log.append([{"c": 3}])
+    chunk = log.read()
+    assert chunk.rows == [{"a": 1}, {"c": 3}]
+    assert (chunk.skipped, chunk.torn) == (1, False)
+    assert log.read(offset=len('{"a": 1}\n')).rows == [{"c": 3}]
 
 
 def test_injected_fsync_failure_row_may_survive(tmp_path):
@@ -241,15 +245,14 @@ def test_injected_fsync_failure_row_may_survive(tmp_path):
     must treat the row as lost even though it may well be in the file
     (it is — only the disk's promise is missing)."""
     from repro import faultinject
-    from repro.ioutil import append_line, iter_jsonl
 
-    target = tmp_path / "log.jsonl"
+    log = SegmentedLog(tmp_path / "log.jsonl")
     with faultinject.injected(
             {"seed": 7, "sites": {"ioutil.append_line":
                                   {"at": [0], "kinds": ["fsync"]}}}):
         with pytest.raises(OSError, match="fsync"):
-            append_line(target, '{"a": 1}')
-    assert [row for __, row in iter_jsonl(target)] == [{"a": 1}]
+            log.append([{"a": 1}])
+    assert log.read().rows == [{"a": 1}]
 
 
 def test_injected_atomic_interrupt_keeps_target_and_no_litter(tmp_path):
@@ -290,18 +293,17 @@ def test_fault_path_filter_only_counts_matching_calls(tmp_path):
     the *matching* appends only, so interleaved writes to other logs
     never shift the schedule."""
     from repro import faultinject
-    from repro.ioutil import append_line
 
-    journal = tmp_path / "jobs.jsonl"
-    other = tmp_path / "cache.jsonl"
+    journal = SegmentedLog(tmp_path / "jobs.jsonl")
+    other = SegmentedLog(tmp_path / "cache.jsonl")
     with faultinject.injected(
             {"seed": 7, "sites": {"ioutil.append_line":
                                   {"at": [1], "kinds": ["enospc"],
                                    "path_contains": "jobs.jsonl"}}}):
-        append_line(other, '{"x": 1}')    # not counted
-        append_line(journal, '{"a": 1}')  # matching call 0: clean
-        append_line(other, '{"x": 2}')    # not counted
-        with pytest.raises(OSError):      # matching call 1: fires
-            append_line(journal, '{"b": 2}')
-        append_line(other, '{"x": 3}')    # other log never faulted
-    assert len(other.read_text().splitlines()) == 3
+        other.append([{"x": 1}])      # not counted
+        journal.append([{"a": 1}])    # matching call 0: clean
+        other.append([{"x": 2}])      # not counted
+        with pytest.raises(OSError):  # matching call 1: fires
+            journal.append([{"b": 2}])
+        other.append([{"x": 3}])      # other log never faulted
+    assert len(other.path.read_text().splitlines()) == 3

@@ -27,6 +27,7 @@ import json
 import subprocess
 import sys
 import urllib.request
+import warnings
 from pathlib import Path
 
 import pytest
@@ -127,7 +128,7 @@ def test_span_ring_rotates_and_stays_bounded(tmp_path):
         trace = f"{index:032d}"
         ring.append([obs.make_span(trace, "job", float(index), 0.5,
                                    node="n")])
-    segments = ring.segment_paths()
+    segments = ring.log.segments()
     assert len(segments) <= 4  # 3 closed + the active file
     total = sum(path.stat().st_size for path in segments)
     assert total <= 4 * 2048 + 4096, "ring must stay bounded"
@@ -152,6 +153,22 @@ def test_span_ring_append_after_torn_tail_keeps_every_span(tmp_path):
     ring.append([obs.make_span("t2", "admit", 2.1, 0.1, node="n")])
     assert [span["name"] for span in ring.read(trace_id="t2")] \
         == ["job", "admit"]
+
+
+def test_span_ring_skips_a_non_utf8_line_silently(tmp_path):
+    """A ring line holding a byte that is not UTF-8 is skipped like any
+    damaged span, without a warning (the ring is telemetry); it used
+    to fail every read, and with it ``GET /trace``."""
+    ring = obs.SpanRing(tmp_path / "spans.jsonl")
+    ring.append([obs.make_span("t1", "job", 1.0, 0.5, node="n")])
+    with open(ring.path, "ab") as handle:
+        handle.write(b'{"trace": "t1", "span": "\xff"}\n')
+    ring.append([obs.make_span("t1", "admit", 1.1, 0.1, node="n")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spans = ring.read(trace_id="t1")
+    assert [span["name"] for span in spans] == ["job", "admit"]
+    assert not caught
 
 
 def test_activation_env_and_context(monkeypatch):

@@ -11,6 +11,7 @@ hit.  The positive direction (warm ≡ cold, byte-identical) lives in
 
 import dataclasses
 import json
+import warnings
 
 import pytest
 
@@ -162,6 +163,34 @@ def test_truncated_final_row_is_skipped_with_warning(tmp_path):
         fresh = ResultCache(tmp_path / "cache")
         assert fresh.lookup(CacheKey("m1", "c1", "k1")) is not None
         assert fresh.lookup(CacheKey("m2", "c2", "k2")) is not None
+
+
+def test_load_during_a_sibling_append_keeps_the_sibling_row(tmp_path):
+    """Worker processes share one cache directory, so a fragment after
+    the last newline at load time may be a sibling's append still in
+    flight.  The loader must leave it unread: once the sibling's newline
+    lands, the whole row is a hit here, not a corrupt row parsed from
+    its middle."""
+    first, second = CacheKey("m1", "c1", "k1"), CacheKey("m2", "c2", "k2")
+    writer = ResultCache(tmp_path / "cache")
+    writer.put(first, _verdict())
+    writer.put(second, _verdict())
+    text = writer.rows_path.read_bytes()
+    first_end = text.index(b"\n") + 1
+    cut = first_end + (len(text) - first_end) // 2  # half the second row
+    writer.rows_path.write_bytes(text[:cut])
+    # A load cannot tell the fragment from a crash's torn row.
+    with pytest.warns(RuntimeWarning, match="skipped 1 corrupt row"):
+        reader = ResultCache(tmp_path / "cache")
+        assert reader.lookup(first) is not None
+    with open(writer.rows_path, "ab") as handle:
+        handle.write(text[cut:])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert reader.lookup(second) is not None
+        stats = reader.stats()
+    assert not caught
+    assert (stats["rows"], stats["stale_or_corrupt_rows"]) == (2, 0)
 
 
 def test_garbage_cache_file_degrades_to_cold_with_warning(tmp_path):

@@ -439,6 +439,21 @@ def test_journal_tolerates_torn_final_line(tmp_path):
     assert resumed.resumed_jobs == 1
 
 
+def test_non_utf8_journal_byte_is_skipped_as_damage(tmp_path):
+    """A journal line holding a byte that is not UTF-8 (bit rot) is
+    damage to skip with a warning, like any unparseable row — not an
+    error that keeps the daemon from starting."""
+    daemon = _daemon(tmp_path, workers=0, store=False)
+    program, core = _figure1_submission()
+    daemon.submit(program, core, report_id="kept")
+    daemon.shutdown()
+    with open(daemon.config.journal_path, "ab") as handle:
+        handle.write(b'{"event": "submit", "job_id": "rot\xff"}\n')
+    with pytest.warns(RuntimeWarning, match="corrupt mid-file"):
+        resumed = TriageDaemon(daemon.config)
+    assert resumed.resumed_jobs == 1
+
+
 def _spawn_serve(cwd, *extra):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
