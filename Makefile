@@ -30,8 +30,10 @@ triage-bench:
 warm-bench:
 	$(PYTHON) -m pytest benchmarks/test_p4_warm_triage.py -q -m perf
 
-# P5 intake-daemon throughput benchmark: sustained reports/s and
-# submit->verdict latency through the warm HTTP service (appends
+# P5 intake-daemon throughput benchmark (also a CI gate): sustained
+# reports/s and submit->verdict latency through the warm HTTP service
+# — drained store byte-identical to the batch store, warm-hit rate
+# 1.0, no faults/retries/quarantines, >= 20 reports/s (appends
 # `service_throughput` rows).
 serve-bench:
 	$(PYTHON) -m pytest benchmarks/test_p5_service_throughput.py -q -m perf

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.errors import ReplayError
 from repro.ir.module import Module
 from repro.vm.interpreter import VM
-from repro.vm.state import PC, ThreadStatus
+from repro.vm.state import PC
 from repro.core.replay import SuffixReplayer
 from repro.core.res import SynthesizedSuffix
 
@@ -210,9 +210,6 @@ class ReverseDebugger:
         if name in self.module.globals:
             return self._vm.memory.peek(self.module.layout()[name])
         return None
-
-    def read_memory(self, addr: int) -> int:
-        return self._vm.memory.peek(addr)
 
     # ------------------------------------------------------------------
     # Focus aids (§3.3: "automatically focuses developers' attention on

@@ -591,10 +591,6 @@ class CacheChain:
                 return found
         return None
 
-    def store_solver_cache(self, module_fp: str, snapshot: dict) -> None:
-        if self.primary is not None:
-            self.primary.store_solver_cache(module_fp, snapshot)
-
     def update_solver_cache(self, module_fp: str, merge) -> None:
         if self.primary is not None:
             self.primary.update_solver_cache(module_fp, merge)

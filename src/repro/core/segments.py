@@ -26,17 +26,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.ir.cfg import CFG
 from repro.ir.instructions import (
     CallInst,
-    Instr,
     RetInst,
     SHARED_EFFECT_INSTRS,
 )
 from repro.ir.module import BasicBlock, Module
-from repro.core.snapshot import SnapThread, SymbolicSnapshot
+from repro.core.snapshot import SymbolicSnapshot
 
 
 class SegmentKind(Enum):
@@ -265,17 +264,3 @@ class CandidateEnumerator:
                                    lo=lo, hi=hi, kind=SegmentKind.RETURN,
                                    depth=depth))
         return out
-
-    # ------------------------------------------------------------------
-
-    def mark_boundary_if_exhausted(self, snapshot: SymbolicSnapshot,
-                                   tid: int) -> None:
-        thread = snapshot.threads[tid]
-        if not thread.frames:
-            thread.at_boundary = True
-            return
-        frame = thread.top
-        func = self.module.function(frame.function)
-        if frame.index == 0 and frame.block == func.entry \
-                and len(thread.frames) == 1:
-            thread.at_boundary = True

@@ -310,10 +310,6 @@ class SymbolicSnapshot:
         base, size = self.remaining_allocs[-1]
         return base + size + 1
 
-    def reg_value(self, tid: int, depth: int, reg: Reg) -> Optional[Expr]:
-        frame = self.threads[tid].frames[depth]
-        return frame.regs.get(reg)
-
     def describe(self) -> str:
         lines = [f"<snapshot: {len(self.constraints)} constraints, "
                  f"{len(self.memory.overlay)} symbolic words>"]

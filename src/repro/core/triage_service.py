@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -599,10 +599,17 @@ def triage_corpus(corpus: TriageCorpus,
 
     # 6. Persist the per-module solver caches so the next run's
     #    workers start primed even for reports it must recompute.
+    #    Merged into the sidecar on disk, as a streaming session does
+    #    (a daemon sharing the cache may have added rows since the
+    #    engines loaded it), and best-effort: a sidecar that cannot be
+    #    written warns, and the final store below still lands.
     if chain.primary is not None:
         for program_key, snapshot in solver_exports.items():
             if snapshot:
-                chain.store_solver_cache(module_fps[program_key], snapshot)
+                chain.update_solver_cache_safe(
+                    module_fps[program_key],
+                    lambda current, snapshot=snapshot:
+                        _merge_solver_snapshots(current, snapshot))
 
     result = _partial_result(slots, corpus, started)
     result.interrupted = interrupted
@@ -666,6 +673,9 @@ class StreamingTriage:
             if self.chain.enabled else ""
         self._engines: Dict[str, TriageEngine] = {}
         self._specs: Dict[str, ProgramSpec] = {}
+        #: programs whose engine drove since its last solver-cache
+        #: flush (a warm hit touches no engine, so it leaves none here)
+        self._drove: set = set()
         #: per-phase timings of the last *traced* :meth:`triage_one`
         #: call: ``(phase name, seconds, attrs-or-None)`` tuples —
         #: plain picklable data, because they cross the workerpool
@@ -725,6 +735,7 @@ class StreamingTriage:
             fi.check("solver.call")
         engine_started = time.perf_counter() if traced else 0.0
         engine = self._engine(spec)
+        self._drove.add(spec.key)
         started = time.perf_counter()
         result = engine.triage_one(report)
         seconds = time.perf_counter() - started
@@ -765,16 +776,20 @@ class StreamingTriage:
         return phases
 
     def flush_solver_caches(self) -> int:
-        """Persist every warm engine's exported residual-component
-        cache (merged with what is already on disk, first row per key
-        wins) so the next process starts primed; returns the number of
-        modules written.  The merge is an atomic read-modify-write on
-        the cache (``update_solver_cache``), so concurrent sessions
-        flushing the same module cannot drop each other's rows."""
+        """Persist the exported residual-component cache of every
+        engine that drove since its last flush (merged with what is
+        already on disk, first row per key wins) so the next process
+        starts primed; returns the number of modules written.  The
+        merge is an atomic read-modify-write on the cache
+        (``update_solver_cache``), so concurrent sessions flushing the
+        same module cannot drop each other's rows."""
         if self.chain.primary is None:
             return 0
+        drove, self._drove = self._drove, set()
         written = 0
         for key, engine in self._engines.items():
+            if key not in drove:
+                continue
             snapshot = engine.export_solver_cache()
             if not snapshot.get("rows"):
                 continue

@@ -38,10 +38,6 @@ class VMError(ReproError):
     """
 
 
-class SolverError(ReproError):
-    """The constraint solver was given constraints it cannot represent."""
-
-
 class SynthesisError(ReproError):
     """Reverse (or forward) execution synthesis could not proceed."""
 

@@ -116,9 +116,6 @@ class GeneratedProgram:
         return RandomPreemptScheduler(seed=self.sched_seed,
                                       preempt_prob=preempt)
 
-    def line_count(self) -> int:
-        return sum(1 for line in self.source.splitlines() if line.strip())
-
 
 # ---------------------------------------------------------------------------
 # The emitter

@@ -22,7 +22,7 @@ executor, which is the heart of the paper's §2.4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 WORD_BITS = 64
 WORD_MASK = (1 << WORD_BITS) - 1
@@ -511,8 +511,3 @@ SHARED_EFFECT_INSTRS = (
     LockInst, UnlockInst, InputInst, OutputInst,
     SpawnInst, JoinInst,
 )
-
-
-def operand_regs(ops: Sequence[Operand]) -> Tuple[Reg, ...]:
-    """Filter a sequence of operands down to its register operands."""
-    return tuple(op for op in ops if isinstance(op, Reg))

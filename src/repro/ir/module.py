@@ -49,14 +49,6 @@ class BasicBlock:
             return (term.then_target, term.else_target)
         return ()
 
-    def defined_regs(self) -> Tuple[Reg, ...]:
-        """Every register defined anywhere in the block (for havocking)."""
-        seen: Dict[Reg, None] = {}
-        for instr in self.instrs:
-            for reg in instr.defs():
-                seen[reg] = None
-        return tuple(seen)
-
     def __repr__(self) -> str:
         return f"<block {self.label}: {len(self.instrs)} instrs>"
 

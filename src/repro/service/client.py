@@ -120,47 +120,13 @@ def submit_with_retries(base_url: str, program: Dict[str, str],
                         notify: Optional[Callable[[str, int, dict],
                                                   None]] = None
                         ) -> Tuple[int, dict]:
-    """:func:`submit_report` that survives daemon restarts and
-    transient refusals.
-
-    Retries (with jittered exponential backoff, up to
-    ``policy.max_retries`` and ``policy.timeout`` seconds overall) on:
-    connection failures (the daemon is restarting — exactly when an
-    unattended forwarder must not die), 503 (spool disk trouble), and
-    429 (queue full, honoring the suggested Retry-After as the backoff
-    floor).  A 400 is never retried: the submission itself is bad.
-    Returns the final ``(status, body)``; exhausted retries re-raise
-    the last transport error (or return the final 429).
-    """
-    policy = policy or RetryPolicy()
-    deadline = time.monotonic() + policy.timeout \
-        if policy.timeout is not None else None
-
-    def out_of_budget(retry: int) -> bool:
-        if retry >= policy.max_retries:
-            return True
-        return deadline is not None and time.monotonic() >= deadline
-
-    trace_id = obs.new_trace_id()  # one trace across every retry
-    retry = 0
-    while True:
-        suggested = None
-        try:
-            status, body = submit_report(
-                base_url, program, coredump_json, report_id=report_id,
-                true_cause=true_cause, force=force, trace_id=trace_id)
-            if status != 429:
-                return status, body
-            if out_of_budget(retry):
-                return status, body
-            suggested = float(body.get("retry_after_seconds", 1.0))
-        except (ServiceUnreachableError, ServiceRetryableError) as exc:
-            if out_of_budget(retry):
-                raise
-            if notify is not None:
-                notify("retry", 0, {"error": str(exc), "retry": retry})
-        time.sleep(policy.delay(retry, suggested=suggested))
-        retry += 1
+    """:func:`submit_report` under the retry contract of
+    :func:`submit_fleet_with_retries`: a one-node fleet."""
+    status, body, __ = submit_fleet_with_retries(
+        FleetTargets([base_url]), program, coredump_json,
+        report_id=report_id, true_cause=true_cause, force=force,
+        policy=policy, notify=notify)
+    return status, body
 
 
 def submit_fleet_with_retries(targets: FleetTargets,
@@ -173,9 +139,18 @@ def submit_fleet_with_retries(targets: FleetTargets,
                               notify: Optional[Callable[[str, int, dict],
                                                         None]] = None
                               ) -> Tuple[int, dict, str]:
-    """:func:`submit_fleet` under the same retry contract as
-    :func:`submit_with_retries`; returns ``(status, body, url)`` with
-    the URL of the node that answered."""
+    """:func:`submit_fleet` that survives daemon restarts and
+    transient refusals; returns ``(status, body, url)`` with the URL of
+    the node that answered.
+
+    Retries (with jittered exponential backoff, up to
+    ``policy.max_retries`` and ``policy.timeout`` seconds overall) on:
+    connection failures (the daemon is restarting — exactly when an
+    unattended forwarder must not die), 503 (spool disk trouble), and
+    429 (queue full, honoring the suggested Retry-After as the backoff
+    floor).  A 400 is never retried: the submission itself is bad.
+    Returns the final answer; exhausted retries re-raise the last
+    transport error (or return the final 429)."""
     policy = policy or RetryPolicy()
     deadline = time.monotonic() + policy.timeout \
         if policy.timeout is not None else None
@@ -312,16 +287,15 @@ def submit_report(base_url: str, program: Dict[str, str],
                   trace_id: Optional[str] = None) -> Tuple[int, dict]:
     """POST one submission; returns ``(http_status, payload)``.
 
-    In fleet mode the owning-node redirect is followed transparently,
-    so the caller sees the owner's answer no matter which node it
-    picked.  A trace id is minted per call (or passed in) and sent as
-    ``X-Res-Trace``; the daemon decides whether to record it."""
-    payload = _submission_payload(program, coredump_json, report_id,
-                                  true_cause, force)
-    status, body, __ = _submit_payload(
-        base_url, payload, timeout,
-        trace_id=trace_id if trace_id is not None
-        else obs.new_trace_id())
+    :func:`submit_fleet` over a one-node fleet: the owning-node
+    redirect is followed transparently, so the caller sees the owner's
+    answer no matter which node it picked.  A trace id is minted per
+    call (or passed in) and sent as ``X-Res-Trace``; the daemon
+    decides whether to record it."""
+    status, body, __ = submit_fleet(
+        FleetTargets([base_url]), program, coredump_json,
+        report_id=report_id, true_cause=true_cause, force=force,
+        timeout=timeout, trace_id=trace_id)
     return status, body
 
 

@@ -28,8 +28,12 @@ buckets.  Four layers, all built on the batch machinery of PRs 3–4:
   ``tests/test_fleet.py``.
 * **observability** — ``healthz`` and Prometheus-style ``metrics``
   (queue depth, in-flight, verdicts/s, warm-hit rate, p50/p95
-  submit→verdict latency), plus the standard JSON report store,
-  flushed as verdicts land and on shutdown.
+  submit→verdict latency), plus the standard JSON report store.  The
+  monitor thread is its only writer while the daemon runs: it rewrites
+  the store once :data:`STORE_FLUSH_EVERY` jobs have settled since the
+  last write, and :meth:`TriageDaemon.shutdown` writes it a last time
+  after every worker and the monitor have stopped.  Settling a job
+  never touches the store.
 
 **Fleet mode** (``--node-id`` + ``--peers``) composes N such daemons
 into one logical service: every member builds the same consistent-hash
@@ -64,7 +68,7 @@ from repro.errors import ReproError
 from repro.faultinject import WorkerCrashError
 from repro.vm.coredump import Coredump
 from repro.core.bucketing import IncrementalRefiner
-from repro.core.triage import BugReport, TriageResult
+from repro.core.triage import TriageResult
 from repro.core.triage_service import (
     CorpusEntry,
     ProgramSpec,
@@ -87,6 +91,18 @@ from repro.service.jobs import (
 )
 from repro.service.ring import HashRing
 
+#: the monitor rewrites the report store once this many jobs have
+#: settled since its last write (the shutdown write always runs, so
+#: the store never misses verdicts — this only trades mid-run
+#: visibility against rewrite traffic, which grows with history)
+STORE_FLUSH_EVERY = 8
+#: submit→verdict latency samples kept for the p50/p95 gauges
+LATENCY_WINDOW = 512
+#: ceiling of the jittered retry backoff (seconds)
+RETRY_BACKOFF_CAP = 2.0
+#: how often the monitor tails peer journal segments (seconds)
+FLEET_SYNC_INTERVAL = 0.25
+
 
 @dataclass
 class DaemonConfig:
@@ -104,13 +120,6 @@ class DaemonConfig:
     #: refused with 429 + Retry-After (dedup attachments are free and
     #: exempt — they consume no worker)
     max_queue: int = 64
-    #: rewrite the report store every N settled verdicts (the final
-    #: shutdown flush always runs, so the store never misses verdicts —
-    #: this only trades mid-run visibility against rewrite traffic,
-    #: which grows with history)
-    flush_every: int = 8
-    #: submit→verdict latency samples kept for the p50/p95 gauges
-    latency_window: int = 512
     #: drive attempts per job before it settles as failed (covers
     #: transient triage errors; worker deaths are counted separately)
     max_attempts: int = 3
@@ -118,9 +127,9 @@ class DaemonConfig:
     #: quarantined instead of re-queued — the poison-job fuse
     quarantine_after: int = 2
     #: jittered exponential retry backoff: base * 2^(attempt-1),
-    #: clamped to the cap, scaled by a uniform jitter in [0.5, 1.0]
+    #: clamped to RETRY_BACKOFF_CAP, scaled by a uniform jitter in
+    #: [0.5, 1.0]
     retry_backoff_base: float = 0.05
-    retry_backoff_cap: float = 2.0
     #: reap a drive that has run longer than this many seconds
     #: (0 disables the watchdog — a legitimate deep drive is slow)
     watchdog_timeout: float = 0.0
@@ -147,8 +156,6 @@ class DaemonConfig:
     #: rotate the active journal segment once it exceeds this many MiB
     #: (0 disables); closed segments are compacted in the background
     journal_rotate_mb: float = 0.0
-    #: how often the monitor tails peer journal segments (seconds)
-    fleet_sync_interval: float = 0.25
 
     @property
     def journal_path(self) -> Path:
@@ -164,7 +171,7 @@ class DaemonConfig:
 class DaemonMetrics:
     """Counter/gauge state behind ``GET /metrics`` (Prometheus text)."""
 
-    def __init__(self, latency_window: int = 512):
+    def __init__(self):
         self.lock = threading.Lock()
         self.started_at = now()
         self.submitted_total = 0
@@ -180,16 +187,15 @@ class DaemonMetrics:
         self.worker_restarts_total = 0  # workers respawned by the monitor
         self.journal_errors_total = 0   # failed journal appends
         self.rebucket_passes_total = 0  # background bucket refinements
-        self.latencies = deque(maxlen=latency_window)
+        self.latencies = deque(maxlen=LATENCY_WINDOW)
         #: worker-drive settles only (no instant dedups): the sample
         #: the Retry-After estimate needs — near-zero dedup settles
         #: would otherwise swamp the window and predict a seconds-long
         #: cold queue drains in milliseconds
-        self.drive_latencies = deque(maxlen=latency_window)
+        self.drive_latencies = deque(maxlen=LATENCY_WINDOW)
         #: flight-recorder per-phase latency windows, keyed by
         #: (phase, priority class) — populated only for sampled jobs,
         #: so the sampling-off daemon never touches this dict
-        self._phase_window = latency_window
         self.phase_latencies: Dict[Tuple[str, str], deque] = {}
 
     def bump(self, name: str, amount: int = 1) -> None:
@@ -216,7 +222,7 @@ class DaemonMetrics:
             key = (str(phase), str(priority))
             window = self.phase_latencies.get(key)
             if window is None:
-                window = deque(maxlen=self._phase_window)
+                window = deque(maxlen=LATENCY_WINDOW)
                 self.phase_latencies[key] = window
             window.append(float(seconds))
 
@@ -297,7 +303,7 @@ class TriageDaemon:
         #: sharing it means a verdict cached by worker A is a warm hit
         #: for worker B within the same daemon lifetime
         self.chain = self.service_config.cache_chain()
-        self.metrics = DaemonMetrics(self.config.latency_window)
+        self.metrics = DaemonMetrics()
         #: flight-recorder sink — construction is cheap (a Path and a
         #: lock); nothing is written unless a sampled job emits spans
         self._span_ring = obs.SpanRing(self.config.spans_path)
@@ -309,7 +315,7 @@ class TriageDaemon:
         self._by_seq: List[IntakeJob] = []
         #: settled jobs in settle order (append-only, so a (list, len)
         #: pair snapshotted under the lock can be read outside it) plus
-        #: live counters — queries and store flushes must stay O(1)
+        #: live counters — queries and store writes must stay O(1)
         #: under the lock however long the daemon has been running
         self._settled_list: List[IntakeJob] = []
         self._unsettled = 0
@@ -348,15 +354,15 @@ class TriageDaemon:
         self._dependents: Dict[str, List[str]] = {}
         self._seen_fingerprints: set = set()
         self._next_seq = 0
-        self._settled_since_flush = 0
-        #: store snapshot awaiting its (out-of-lock) atomic write
-        self._pending_flush: Optional[tuple] = None
-        #: monotonic snapshot version + last-written version: a slow
-        #: writer must never clobber a newer store (the final shutdown
-        #: flush included) with its stale snapshot
-        self._flush_seq = 0
-        self._flushed_seq = 0
+        #: serializes store writes, each snapshotting the settled
+        #: history inside it — so writes land in snapshot order and the
+        #: store on disk only moves forward.  Lock order: _flush_lock,
+        #: then _cv; nothing takes _flush_lock while holding _cv.
         self._flush_lock = threading.Lock()
+        #: settled-list length at the last store write (failed writes
+        #: included: a failing disk is retried at the next flush point,
+        #: not on every monitor tick)
+        self._flushed_count = 0
         #: (settled count, payload) memo for ``GET /buckets``, fed by
         #: the incremental refiner below: each new verdict is folded in
         #: once — O(delta), not O(history) — and read polling stays O(1)
@@ -421,11 +427,12 @@ class TriageDaemon:
         ``drain=True`` finishes the queue first (clean administrative
         stop); ``drain=False`` stops after the in-flight jobs only —
         the SIGTERM path, leaving queued work journaled for the next
-        daemon life.  Either way no worker thread survives this call
-        and the store on disk reflects everything settled.  The
-        ``interrupted`` store flag defaults to auto: it is derived
-        *after* the workers stop, so a stop that caught the daemon
-        fully settled is not mislabeled as a partial run.
+        daemon life.  Either way no worker thread survives this call,
+        and the last store write runs after the workers and the
+        monitor have stopped, so the store on disk reflects everything
+        settled.  The ``interrupted`` store flag defaults to auto: it
+        is derived *after* the workers stop, so a stop that caught the
+        daemon fully settled is not mislabeled as a partial run.
         """
         with self._cv:
             self._stop = True
@@ -605,7 +612,6 @@ class TriageDaemon:
                 f"intake journal unavailable ({exc}); instant-dedup "
                 f"answer served read-only, bookkeeping row lost",
                 RuntimeWarning)
-        self._flush_pending()  # an instant dedup may have settled a job
         return status, payload
 
     def _submit_locked(self, spec: ProgramSpec, core_obj: dict,
@@ -888,7 +894,6 @@ class TriageDaemon:
         if not job.resumed:
             self.metrics.observe_latency(job.latency())
         self._settle_spans_locked(job, dedup=True)
-        self._note_settled_locked()
 
     def _note_disk(self, ok: bool) -> None:
         """Track journal-append health (the degraded-healthz signal).
@@ -1289,7 +1294,7 @@ class TriageDaemon:
         ``base * 2^(attempt-1)`` clamped to the cap, scaled by a
         uniform factor in [0.5, 1.0] so synchronized failures do not
         re-queue in lockstep."""
-        window = min(self.config.retry_backoff_cap,
+        window = min(RETRY_BACKOFF_CAP,
                      self.config.retry_backoff_base
                      * (2 ** max(0, attempt - 1)))
         return window * (0.5 + 0.5 * self._backoff_rng.random())
@@ -1308,37 +1313,35 @@ class TriageDaemon:
             job.not_before = time.monotonic() + delay
             self._delayed.append(job)
 
-    def _quarantine_locked(self, job: IntakeJob, error: str,
-                           journal: List[tuple]) -> None:
-        """Settle a poison job (and its attached duplicates) with
-        diagnostics instead of a verdict.  The key's pending marker is
-        freed, so a later re-submission of the same crash gets a fresh
-        chance — quarantine is a fuse, not a verdict cache."""
-        job.state = JobState.QUARANTINED
-        job.error = error
-        job.finished_at = now()
-        job._dump = None
-        self._unsettled -= 1
-        self._settled_list.append(job)
-        self._quarantined_count += 1
-        journal.append(("quarantined", job, None))
-        self.metrics.quarantined_total += 1
+    def _settle_unverdicted_locked(self, job: IntakeJob, state: JobState,
+                                   error: str,
+                                   journal: List[tuple]) -> None:
+        """Settle a job and its attached duplicates as ``FAILED`` (out
+        of attempts) or ``QUARANTINED`` (a poison job): diagnostics
+        instead of a verdict, one journal row of that kind each.  The
+        key's pending marker is freed, so a later re-submission of the
+        same crash gets a fresh chance — quarantine is a fuse, not a
+        verdict cache."""
         if self._pending_by_key.get(job.dedup_key) == job.job_id:
             self._pending_by_key.pop(job.dedup_key)
-        for dep_id in self._dependents.pop(job.job_id, ()):
-            dependent = self._jobs[dep_id]
-            dependent.state = JobState.QUARANTINED
-            dependent.error = f"representative {job.job_id} quarantined"
-            dependent.finished_at = now()
-            dependent._dump = None
+        settling = [(job, error)] + [
+            (self._jobs[dep_id],
+             f"representative {job.job_id} {state.value}")
+            for dep_id in self._dependents.pop(job.job_id, ())]
+        for target, target_error in settling:
+            target.state = state
+            target.error = target_error
+            target.finished_at = now()
+            target._dump = None
             self._unsettled -= 1
-            self._settled_list.append(dependent)
-            self._quarantined_count += 1
-            journal.append(("quarantined", dependent, None))
-            self.metrics.quarantined_total += 1
-            self._settle_spans_locked(dependent)
-        self._settle_spans_locked(job)
-        self._note_settled_locked()
+            self._settled_list.append(target)
+            journal.append((state.value, target, None))
+            if state is JobState.QUARANTINED:
+                self._quarantined_count += 1
+                self.metrics.quarantined_total += 1
+            else:
+                self.metrics.failed_total += 1
+            self._settle_spans_locked(target)
 
     def _worker_died(self, name: str, job: IntakeJob, claim: int,
                      reason: str) -> None:
@@ -1351,15 +1354,14 @@ class TriageDaemon:
             if self._release_locked(name, job, claim):
                 job.worker_crashes += 1
                 if job.worker_crashes >= self.config.quarantine_after:
-                    self._quarantine_locked(
-                        job,
+                    self._settle_unverdicted_locked(
+                        job, JobState.QUARANTINED,
                         f"quarantined: killed {job.worker_crashes} "
                         f"worker(s); last: {reason}", journal)
                 else:
                     self._requeue_locked(job)
             self._cv.notify_all()
         self._drain_or_backlog(journal)
-        self._flush_pending()
 
     def _retry_or_fail(self, job: IntakeJob, name: str, claim: int,
                        error: str) -> None:
@@ -1372,19 +1374,18 @@ class TriageDaemon:
             if job.attempts < self.config.max_attempts:
                 self._requeue_locked(job)
             else:
-                self._fail_locked(
-                    job, f"{error} (after {job.attempts} attempts)",
-                    journal)
+                self._settle_unverdicted_locked(
+                    job, JobState.FAILED,
+                    f"{error} (after {job.attempts} attempts)", journal)
             self._cv.notify_all()
         self._drain_or_backlog(journal)
-        self._flush_pending()
 
     def _settle_safely(self, settle, *args) -> None:
-        """Settling touches the journal and the store; transient I/O
-        trouble there (ENOSPC on the spool volume, say) must cost at
-        most this one job's durability — never the worker thread, or
-        the daemon would silently stop triaging while healthz still
-        looked alive."""
+        """Settling touches the journal (never the report store — the
+        monitor writes that); transient I/O trouble there (ENOSPC on
+        the spool volume, say) must cost at most this one job's
+        durability — never the worker thread, or the daemon would
+        silently stop triaging while healthz still looked alive."""
         try:
             settle(*args)
         except Exception as exc:  # noqa: BLE001 - worker boundary
@@ -1393,7 +1394,8 @@ class TriageDaemon:
                           RuntimeWarning)
 
     # ------------------------------------------------------------------
-    # Monitor: delayed-retry promotion, watchdog, worker respawn
+    # Monitor: delayed-retry promotion, watchdog, worker respawn,
+    # store writes
     # ------------------------------------------------------------------
 
     def _monitor_loop(self) -> None:
@@ -1406,9 +1408,7 @@ class TriageDaemon:
                     self._promote_due_locked()
                     self._watchdog_locked(journal)
                     self._respawn_locked()
-            if journal:
-                self._drain_or_backlog(journal)
-                self._flush_pending()
+            self._drain_or_backlog(journal)
             # Parked settle rows outlive everything else: flush them
             # even on the way out, or a drain shutdown could strand
             # settled-in-memory verdicts off-disk.
@@ -1418,6 +1418,7 @@ class TriageDaemon:
             self._maintenance_rebucket()
             self._journal_maintenance()
             self._fleet_sync()
+            self._flush_store_if_due()
             with self._cv:
                 self._cv.wait(timeout=self.config.monitor_interval)
 
@@ -1468,8 +1469,8 @@ class TriageDaemon:
                 job.claim += 1  # the hung drive's settle is stale now
                 job.worker_crashes += 1
                 if job.worker_crashes >= self.config.quarantine_after:
-                    self._quarantine_locked(
-                        job,
+                    self._settle_unverdicted_locked(
+                        job, JobState.QUARANTINED,
                         f"quarantined: hung past the {timeout:.1f}s "
                         f"watchdog {job.worker_crashes} time(s)", journal)
                 else:
@@ -1526,7 +1527,6 @@ class TriageDaemon:
                 self._settle_duplicate_locked(self._jobs[dep_id], job,
                                               journal)
             self._settle_spans_locked(job)
-            self._note_settled_locked()
             self._cv.notify_all()
         if not self._drain_or_backlog(journal):
             # The done rows are parked, not durable: defer phase 2 (the
@@ -1563,132 +1563,85 @@ class TriageDaemon:
             job._dump = None
             self._cv.notify_all()
         self._drain_or_backlog(journal)
-        self._flush_pending()
-
-    def _fail_locked(self, job: IntakeJob, error: str,
-                     journal: List[tuple]) -> None:
-        job.state = JobState.FAILED
-        job.error = error
-        job.finished_at = now()
-        job._dump = None
-        self._unsettled -= 1
-        self._settled_list.append(job)
-        journal.append(("failed", job, None))
-        self.metrics.failed_total += 1
-        if self._pending_by_key.get(job.dedup_key) == job.job_id:
-            self._pending_by_key.pop(job.dedup_key)
-        for dep_id in self._dependents.pop(job.job_id, ()):
-            dependent = self._jobs[dep_id]
-            dependent.state = JobState.FAILED
-            dependent.error = f"representative {job.job_id} failed"
-            dependent.finished_at = now()
-            dependent._dump = None
-            self._unsettled -= 1
-            self._settled_list.append(dependent)
-            journal.append(("failed", dependent, None))
-            self.metrics.failed_total += 1
-            self._settle_spans_locked(dependent)
-        self._settle_spans_locked(job)
-        self._note_settled_locked()
-
-    def _note_settled_locked(self) -> None:
-        """Count one settled job; every ``flush_every``-th, snapshot the
-        store inputs (cheap, under the lock) into ``_pending_flush`` for
-        the settle path to *write* after releasing the lock — the fsync
-        must never stall admission or the other workers."""
-        self._settled_since_flush += 1
-        if self._store is None \
-                or self._settled_since_flush < self.config.flush_every:
-            return
-        self._settled_since_flush = 0
-        self._pending_flush = self._store_inputs_locked()
-
-    def _flush_pending(self) -> None:
-        """Write the pending store snapshot, if any, outside the lock."""
-        with self._cv:
-            inputs, self._pending_flush = self._pending_flush, None
-        self._write_store(inputs)
-
-    def _write_store(self, inputs: Optional[tuple]) -> None:
-        if inputs is None or self._store is None:
-            return
-        seq, settled, count, complete, interrupted = inputs
-        if seq <= self._flushed_seq:
-            return  # a newer snapshot already landed
-        # Store rows are in submission order — the batch-run
-        # equivalence contract — while the settled list is in settle
-        # order; sort the copy, outside the lock.  The submission order
-        # of a *fleet* is the deterministic merge order
-        # (submitted_at, node, seq), which reduces to plain seq order
-        # for a single node — any member's store converges on the same
-        # fleet-wide document.
-        done = sorted((job for job in settled[:count]
-                       if job.state is JobState.DONE
-                       and job.verdict is not None),
-                      key=lambda job: job.order_key)
-        programs: Dict[str, ProgramSpec] = {}
-        entries: List[CorpusEntry] = []
-        for job in done:
-            programs.setdefault(job.program.key, job.program)
-            # store_payload reads ids/labels off the entries, never the
-            # dumps — don't parse N historical coredumps per flush.
-            entries.append(CorpusEntry(
-                report=job.bug_report(require_coredump=False),
-                program_key=job.program.key))
-        corpus = TriageCorpus(programs=programs, entries=entries)
-        result = TriageServiceResult(
-            reports=[job.verdict for job in done],
-            elapsed=max(now() - self.metrics.started_at, 1e-9),
-            triaged=sum(1 for job in done
-                        if job.verdict.dedup_of is None
-                        and not job.verdict.cached),
-            dedup_hits=sum(1 for job in done
-                           if job.verdict.dedup_of is not None),
-            cache_hits=sum(1 for job in done if job.verdict.cached),
-            interrupted=interrupted,
-        )
-        # Serialized + versioned: a writer that lost the race to a
-        # newer snapshot (including the final shutdown flush) skips
-        # instead of clobbering the store with stale contents.
-        with self._flush_lock:
-            if seq <= self._flushed_seq:
-                return
-            try:
-                self._store.flush(result, corpus, complete=complete)
-            except OSError as exc:
-                # The store is a derived artifact — every row in it is
-                # rebuilt from the journal on replay — so a failed
-                # flush costs visibility, not verdicts.  Raising here
-                # would kill the monitor thread (or 503 a submission
-                # that was already durably admitted).
-                warnings.warn(f"report store flush failed ({exc}); "
-                              f"retrying at the next flush point",
-                              RuntimeWarning)
-                return
-            self._flushed_seq = seq
 
     # ------------------------------------------------------------------
     # The report store (same document as batch `res triage --store`)
     # ------------------------------------------------------------------
 
-    def _store_inputs_locked(self) -> tuple:
-        """Snapshot O(1) under the lock: the settled list is
-        append-only (a (list, length) pair read outside the lock is
-        stable) and pending-ness is a counter, so the expensive part —
-        corpus assembly, sorting, the atomic fsynced rewrite — happens
-        in :meth:`_write_store` without stalling admission or the
-        workers, however long the daemon has been running."""
-        complete = not self._unsettled and not self._interrupted
-        self._flush_seq += 1
-        return (self._flush_seq, self._settled_list,
-                len(self._settled_list), complete, self._interrupted)
+    def _flush_store_if_due(self) -> None:
+        """Monitor duty: rewrite the store once STORE_FLUSH_EVERY jobs
+        have settled since the last write.  The monitor is the store's
+        only writer while the daemon runs, so no settle path — an
+        instant dedup's HTTP handler included — ever waits on it."""
+        if self._store is None or len(self._settled_list) \
+                - self._flushed_count < STORE_FLUSH_EVERY:
+            return
+        try:
+            self.flush_store()
+        except Exception as exc:  # noqa: BLE001 - monitor boundary
+            warnings.warn(f"intake daemon: store write hit "
+                          f"{type(exc).__name__}: {exc}", RuntimeWarning)
 
     def flush_store(self) -> None:
+        """Write the report store from the settled history so far.
+
+        The snapshot is O(1) under ``_cv``: the settled list is
+        append-only (a (list, length) pair read outside the lock is
+        stable) and pending-ness is a counter.  It is taken inside
+        ``_flush_lock``, so concurrent callers write in snapshot order
+        and a newer store is never overwritten by an older one.  The
+        O(history) corpus assembly and the atomic fsynced rewrite run
+        outside ``_cv``, without stalling admission or the workers."""
         if self._store is None:
             return
-        with self._cv:
-            inputs = self._store_inputs_locked()
-        self._write_store(inputs)
+        with self._flush_lock:
+            with self._cv:
+                settled, count = self._settled_list, len(self._settled_list)
+                complete = not self._unsettled and not self._interrupted
+                interrupted = self._interrupted
+            self._flushed_count = count
+            # Store rows are in submission order — the batch-run
+            # equivalence contract — while the settled list is in settle
+            # order; sort the copy, outside the lock.  The submission order
+            # of a *fleet* is the deterministic merge order
+            # (submitted_at, node, seq), which reduces to plain seq order
+            # for a single node — any member's store converges on the same
+            # fleet-wide document.
+            done = sorted((job for job in settled[:count]
+                           if job.state is JobState.DONE
+                           and job.verdict is not None),
+                          key=lambda job: job.order_key)
+            programs: Dict[str, ProgramSpec] = {}
+            entries: List[CorpusEntry] = []
+            for job in done:
+                programs.setdefault(job.program.key, job.program)
+                # store_payload reads ids/labels off the entries, never the
+                # dumps — don't parse N historical coredumps per flush.
+                entries.append(CorpusEntry(
+                    report=job.bug_report(require_coredump=False),
+                    program_key=job.program.key))
+            corpus = TriageCorpus(programs=programs, entries=entries)
+            result = TriageServiceResult(
+                reports=[job.verdict for job in done],
+                elapsed=max(now() - self.metrics.started_at, 1e-9),
+                triaged=sum(1 for job in done
+                            if job.verdict.dedup_of is None
+                            and not job.verdict.cached),
+                dedup_hits=sum(1 for job in done
+                               if job.verdict.dedup_of is not None),
+                cache_hits=sum(1 for job in done if job.verdict.cached),
+                interrupted=interrupted,
+            )
+            try:
+                self._store.flush(result, corpus, complete=complete)
+            except OSError as exc:
+                # The store is a derived artifact — every row in it is
+                # rebuilt from the journal on replay — so a failed write
+                # costs visibility, not verdicts.  Raising here would kill
+                # the monitor thread.
+                warnings.warn(f"report store flush failed ({exc}); "
+                              f"retrying at the next flush point",
+                              RuntimeWarning)
 
     # ------------------------------------------------------------------
     # Queries (HTTP read side)
@@ -1803,11 +1756,10 @@ class TriageDaemon:
             return
         now_m = time.monotonic()
         if not force and now_m - self._fleet_last_sync \
-                < self.config.fleet_sync_interval:
+                < FLEET_SYNC_INTERVAL:
             return
         self._fleet_last_sync = now_m
         spool = Path(self.config.spool_dir)
-        adopted = False
         for peer in self._ring.nodes:
             if peer == self.config.node_id:
                 continue
@@ -1825,11 +1777,9 @@ class TriageDaemon:
             except (ReproError, OSError):
                 continue  # mid-rotation read; the next tick retries
             self._peer_sizes[peer] = size
-            adopted = self._adopt_shadows(replayed) or adopted
-        if adopted:
-            self._flush_pending()
+            self._adopt_shadows(replayed)
 
-    def _adopt_shadows(self, replayed: List[IntakeJob]) -> bool:
+    def _adopt_shadows(self, replayed: List[IntakeJob]) -> None:
         """Register a peer's settled jobs under this node's dedup and
         store views.  Unsettled peer jobs are skipped (their owner is
         driving them); they adopt once a later sync sees the settle."""
@@ -1857,11 +1807,9 @@ class TriageDaemon:
                     else:
                         self._done_by_key.setdefault(job.dedup_key,
                                                      job.job_id)
-                self._note_settled_locked()
                 adopted = True
             if adopted:
                 self._cv.notify_all()
-        return adopted
 
     def report_payload(self, fingerprint: str) -> dict:
         with self._cv:

@@ -47,9 +47,6 @@ class Expr:
 
     __slots__ = ()
 
-    def is_const(self) -> bool:
-        return isinstance(self, Const)
-
 
 # ---------------------------------------------------------------------------
 # Hash-consing (interning) tables
@@ -71,12 +68,6 @@ _BIN_CACHE: Dict[Tuple[str, int, int], "BinExpr"] = {}
 _CONST_CACHE_CAP = 1 << 16
 _SYM_CACHE_CAP = 1 << 16
 _BIN_CACHE_CAP = 1 << 18
-
-
-def intern_stats() -> Dict[str, int]:
-    """Sizes of the intern tables (diagnostics and tests)."""
-    return {"const": len(_CONST_CACHE), "sym": len(_SYM_CACHE),
-            "bin": len(_BIN_CACHE)}
 
 
 @dataclass(frozen=True, init=False)

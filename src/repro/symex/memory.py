@@ -72,10 +72,6 @@ class SymMemory:
             return unknown
         return Const(0)
 
-    def base_known(self, addr: int) -> bool:
-        """Whether the base image actually holds this word."""
-        return self._known is None or self._known(addr)
-
     def has_overlay(self, addr: int) -> bool:
         node: Optional[SymMemory] = self
         while node is not None:

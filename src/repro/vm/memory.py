@@ -18,9 +18,9 @@ writes out of bounds without an immediate crash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.ir.instructions import to_unsigned
 from repro.ir.module import HEAP_BASE, Module, STACK_WINDOW, STACKS_BASE
@@ -135,14 +135,6 @@ class Memory:
         """Read without access checking (host-side inspection)."""
         return self.words.get(addr, 0)
 
-    def poke(self, addr: int, value: int) -> None:
-        """Write without access checking (host-side setup / fault injection)."""
-        self.words[addr] = to_unsigned(value)
-
     def snapshot(self) -> Dict[int, int]:
         """Copy of all words (the memory part of a coredump)."""
         return dict(self.words)
-
-    def load_snapshot(self, words: Iterable[Tuple[int, int]]) -> None:
-        for addr, value in words:
-            self.words[addr] = to_unsigned(value)

@@ -63,11 +63,5 @@ class ExecutionTrace:
                 return event
         return None
 
-    def accesses_of(self, addr: int) -> List[TraceEvent]:
-        return [e for e in self.events if e.touches(addr)]
-
-    def by_thread(self, tid: int) -> List[TraceEvent]:
-        return [e for e in self.events if e.tid == tid]
-
     def suffix(self, length: int) -> List[TraceEvent]:
         return self.events[-length:] if length > 0 else []

@@ -15,6 +15,7 @@ import warnings
 
 import pytest
 
+from repro import faultinject
 from repro.core.res import RESConfig
 from repro.core.rescache import (
     CACHE_SCHEMA_VERSION,
@@ -27,7 +28,11 @@ from repro.core.rescache import (
 )
 from repro.core.rootcause import RootCause
 from repro.core.triage import BugReport, synthesize_result
-from repro.core.triage_service import TriageServiceConfig, triage_corpus
+from repro.core.triage_service import (
+    StreamingTriage,
+    TriageServiceConfig,
+    triage_corpus,
+)
 from repro.fuzz.triage_corpus import build_labeled_corpus
 from repro.vm.state import PC
 
@@ -479,3 +484,41 @@ def test_synthesizer_export_prime_round_trip():
     warm_fps = [suffix_fingerprint(s) for s in primed.synthesize(
         min_depth=1, max_suffixes=6)]
     assert warm_fps == cold_fps
+
+
+# ---------------------------------------------------------------------------
+# Solver sidecar writes
+# ---------------------------------------------------------------------------
+
+def test_unwritable_solver_sidecar_still_lands_the_final_store(tmp_path):
+    """A batch run whose sidecar write hits ENOSPC warns and still
+    writes its final, complete store (programs 9005 and 9012 leave a
+    sidecar; most fuzz programs leave none and cannot show this)."""
+    corpus = build_labeled_corpus([9005, 9012], duplicates=2,
+                                  shuffle_seed=3)
+    store = tmp_path / "store.json"
+    config = TriageServiceConfig(max_depth=8, max_nodes=300,
+                                 cache_dir=str(tmp_path / "cache"),
+                                 store_path=str(store), flush_every=1)
+    plan = {"seed": 0, "sites": {"ioutil.atomic_write": {
+        "prob": 1.0, "kinds": ["enospc"], "path_contains": "/solver/"}}}
+    with faultinject.injected(plan), \
+            pytest.warns(RuntimeWarning, match="solver cache flush failed"):
+        triage_corpus(corpus, config)
+    payload = json.loads(store.read_text())
+    assert payload["complete"] is True
+    assert len(payload["results"]) == 4
+
+
+def test_session_flushes_only_the_engines_that_drove(tmp_path):
+    """A warm hit touches no engine, so the flush after it writes no
+    sidecar; the cold drive before it writes its module's."""
+    corpus = build_labeled_corpus([9012])
+    entry = corpus.entries[0]
+    spec = corpus.programs[entry.program_key]
+    session = StreamingTriage(TriageServiceConfig(
+        max_depth=8, max_nodes=300, cache_dir=str(tmp_path / "cache")))
+    assert not session.triage_one(spec, entry.report).cached
+    assert session.flush_solver_caches() == 1
+    assert session.triage_one(spec, entry.report).cached
+    assert session.flush_solver_caches() == 0

@@ -14,11 +14,13 @@ The load-bearing guarantees, in the order the ISSUE states them:
   interrupted, and leaves no worker behind.
 """
 
+import errno
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -29,6 +31,7 @@ import pytest
 import repro
 from repro.core.triage_service import (
     TriageServiceConfig,
+    TriageStore,
     store_payload,
     triage_corpus,
     verdict_view,
@@ -43,7 +46,7 @@ from repro.service.client import (
     wait_for_job,
     watch_directory,
 )
-from repro.service.jobs import JobJournal, JobState
+from repro.service.jobs import JobJournal
 from repro.workloads import FIGURE1_OVERFLOW
 
 SRC_DIR = Path(repro.__file__).resolve().parents[1]
@@ -374,6 +377,82 @@ def test_journal_dedup_rows_are_references(tmp_path):
     # The duplicates share the representative's parsed coredump.
     assert replayed[1].core_obj is replayed[0].core_obj
     assert replayed[1].program == replayed[0].program
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return predicate()
+
+
+def test_monitor_is_the_only_store_writer_while_running(tmp_path,
+                                                        monkeypatch):
+    """Settling a job never rewrites the report store: sixteen instant
+    duplicates return without a store write on the submitting thread,
+    the monitor thread writes the store once eight jobs have settled
+    since its last write, and shutdown writes the complete store."""
+    writers = []
+    flush = TriageStore.flush
+
+    def recording_flush(self, *args, **kwargs):
+        writers.append(threading.current_thread().name)
+        return flush(self, *args, **kwargs)
+
+    monkeypatch.setattr(TriageStore, "flush", recording_flush)
+    daemon = _daemon(tmp_path, workers=1)
+    daemon.start()
+    program, core = _figure1_submission()
+    status, __ = daemon.submit(program, core, report_id="rep")
+    assert status == 202
+    assert daemon.wait_idle(60)
+    for index in range(16):
+        status, body = daemon.submit(program, core,
+                                     report_id=f"dup-{index}")
+        assert status == 200, body
+    assert _wait_for(lambda: "triage-monitor" in writers)
+    running_writers = list(writers)
+    daemon.shutdown(drain=True)
+    assert threading.current_thread().name not in running_writers
+    payload = json.loads((tmp_path / "daemon-store.json").read_text())
+    assert payload["complete"] is True
+    assert len(payload["results"]) == 17
+
+
+def test_failed_store_write_waits_for_the_next_flush_point(tmp_path,
+                                                          monkeypatch):
+    """A store write that fails warns and leaves the monitor running;
+    the monitor does not retry it on every tick, only once eight more
+    jobs have settled."""
+    writers = []
+    flush = TriageStore.flush
+
+    def full_once(self, *args, **kwargs):
+        writers.append(threading.current_thread().name)
+        if len(writers) == 1:
+            raise OSError(errno.ENOSPC, "store volume full")
+        return flush(self, *args, **kwargs)
+
+    monkeypatch.setattr(TriageStore, "flush", full_once)
+    daemon = _daemon(tmp_path, workers=1)
+    daemon.start()
+    program, core = _figure1_submission()
+    daemon.submit(program, core, report_id="rep")
+    assert daemon.wait_idle(60)
+    with pytest.warns(RuntimeWarning, match="report store flush failed"):
+        for index in range(7):
+            daemon.submit(program, core, report_id=f"a-{index}")
+        assert _wait_for(lambda: writers)
+        time.sleep(0.5)  # ten monitor ticks
+    assert writers == ["triage-monitor"]
+    for index in range(8):
+        daemon.submit(program, core, report_id=f"b-{index}")
+    assert _wait_for(lambda: len(writers) == 2)
+    assert writers == ["triage-monitor"] * 2
+    daemon.shutdown(drain=True)
+    payload = json.loads((tmp_path / "daemon-store.json").read_text())
+    assert payload["complete"] is True
+    assert len(payload["results"]) == 16
 
 
 def test_http_rejects_non_integer_priority(live_server):
