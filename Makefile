@@ -91,10 +91,12 @@ obs-smoke:
 obs-bench:
 	$(PYTHON) -m pytest benchmarks/test_p8_obs_overhead.py -q -m perf
 
-# The 200-program differential campaign with the fixed smoke seed.
-# Exit code 1 + artifacts under fuzz-artifacts/ on any divergence.
+# The 1,000-program differential campaign with the fixed smoke seed:
+# incremental vs naive RES, replay, WP and cache-primed oracles, and
+# every un-faulted dump must yield a verified suffix.  Exit code 1 +
+# artifacts under fuzz-artifacts/ on any divergence.
 fuzz-smoke:
-	$(PYTHON) -m repro.cli fuzz --seed 0 --count 200 --jobs 4 --shrink
+	$(PYTHON) -m repro.cli fuzz --seed 0 --count 1000 --jobs 4 --shrink
 
 # Same campaign driven through pytest (the `fuzz` marker).
 fuzz-test:

@@ -23,10 +23,9 @@ from repro.ir.bytecode import compile_program
 from repro.ir.module import Module
 from repro.symex.expr import Const, evaluate_compiled
 from repro.symex.solver import Solver
-from repro.vm.bytecode_vm import BFrame, BytecodeVM
 from repro.vm.scheduler import RandomPreemptScheduler
 from repro.vm.coredump import Coredump, TrapKind
-from repro.vm.interpreter import RunResult, RunStatus
+from repro.vm.interpreter import BFrame, RunResult, RunStatus, VM
 from repro.vm.memory import Allocation
 from repro.vm.state import Thread, ThreadStatus
 from repro.vm.trace import ExecutionTrace
@@ -42,7 +41,7 @@ class ReplayReport:
     inputs: List[int] = field(default_factory=list)
     model: Optional[Dict[str, int]] = None
     trace: Optional[ExecutionTrace] = None
-    vm: Optional[BytecodeVM] = None
+    vm: Optional[VM] = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -94,11 +93,11 @@ class SuffixReplayer:
     # ------------------------------------------------------------------
 
     def _instantiate(self, suffix: ExecutionSuffix,
-                     model: Dict[str, int]) -> BytecodeVM:
+                     model: Dict[str, int]) -> VM:
         coredump = suffix.coredump
         snapshot = suffix.snapshot
         inputs = [self._eval(sym, model) for sym in suffix.input_syms()]
-        vm = BytecodeVM(
+        vm = VM(
             self.module,
             inputs=inputs,
             scheduler=self._scheduler,
@@ -175,8 +174,8 @@ class SuffixReplayer:
     # Driving the schedule
     # ------------------------------------------------------------------
 
-    def _drive(self, vm: BytecodeVM, suffix: ExecutionSuffix) -> ReplayReport:
-        """Drive the schedule: one :meth:`BytecodeVM.run_leg` call per
+    def _drive(self, vm: VM, suffix: ExecutionSuffix) -> ReplayReport:
+        """Drive the schedule: one :meth:`VM.run_leg` call per
         schedule leg, which runs the leg's steps of one thread without
         per-step dispatch.
 
@@ -230,7 +229,7 @@ class SuffixReplayer:
                 return ReplayReport(ok=False, mismatches=mismatches)
         return self._finish_drive(vm, suffix, terminal, mismatches)
 
-    def _finish_drive(self, vm: BytecodeVM, suffix: ExecutionSuffix,
+    def _finish_drive(self, vm: VM, suffix: ExecutionSuffix,
                       terminal: Optional[RunResult],
                       mismatches: List[str]) -> ReplayReport:
         coredump = suffix.coredump
@@ -243,7 +242,7 @@ class SuffixReplayer:
             return ReplayReport(ok=False, mismatches=mismatches)
         return self._verify(terminal.coredump, coredump, mismatches)
 
-    def _verify_deadlock(self, vm: BytecodeVM, suffix: ExecutionSuffix,
+    def _verify_deadlock(self, vm: VM, suffix: ExecutionSuffix,
                          mismatches: List[str]) -> ReplayReport:
         coredump = suffix.coredump
         tid = coredump.trap.tid

@@ -181,6 +181,13 @@ def _run_oracles(module, dump, flags: Dict[str, bool],
         # Corrupted dumps only check incremental-vs-naive agreement:
         # what RES makes of an inconsistent dump is the §3.2 question,
         # not a feasibility contract the extra oracles may enforce.
+        # A dump the VM produced is the end of a real execution, so
+        # some suffix of it must replay onto the dump exactly.
+        if not suffixes:
+            report.divergences.append((
+                "no-suffix",
+                f"no suffix verified within max_depth={config.max_depth}, "
+                f"max_nodes={config.max_nodes}"))
         report.replays_checked, replay_div = check_replay_feasibility(
             module, suffixes, config.max_replay_checks)
         report.divergences.extend(replay_div)

@@ -1,12 +1,11 @@
-"""Bytecode compiler for IR modules (the fast execution path).
+"""Bytecode compiler for IR modules: the form the VM executes.
 
-The tree-walking interpreter (`vm/interpreter.py`) dispatches on
-dataclass *types* and evaluates operands through per-access dict
-lookups keyed by :class:`Reg`.  That is the dominant cost of every
-layer above it — RES replay verification, fuzz campaigns, triage.
-
-This module compiles a :class:`~repro.ir.module.Module` once into a
-dense register/slot form executed by `vm/bytecode_vm.py`:
+Dispatching on dataclass instruction *types* and reading operands
+through dicts keyed by :class:`Reg` would dominate every layer above
+the VM — coredump production, RES replay verification, fuzz campaigns,
+triage.  So this module compiles a :class:`~repro.ir.module.Module`
+once into a dense register/slot form, and the VM's dispatch loop
+(`vm/interpreter.py`) executes only that:
 
 * every virtual register of a function becomes an integer **slot** in
   a flat frame array (no dict lookups on the hot path);
@@ -18,8 +17,11 @@ dense register/slot form executed by `vm/bytecode_vm.py`:
   :class:`BFunc`;
 * the mapping is strictly 1:1 with the IR (op ``i`` of a block is IR
   instruction ``i``), so a bytecode instruction pointer converts to a
-  source :class:`~repro.vm.state.PC` by table lookup — which is what
-  lets the replayer start snapshot threads mid-block.
+  source :class:`~repro.ir.module.PC` by table lookup — which is what
+  lets the replayer start snapshot threads mid-block;
+* per-instruction facts the scheduler and the LBR need are computed
+  here once: ``BFunc.shared`` (the instruction has a shared effect, so
+  it is a preemption point) and each branch's "inferable" LBR flag.
 
 The layout idiom (slot frames over an immutable compiled program)
 follows the Converge pypyvm dispatch-loop design.
@@ -66,8 +68,7 @@ from repro.ir.instructions import (
     StoreInst,
     UnlockInst,
 )
-from repro.ir.module import Function, Module
-from repro.vm.state import PC
+from repro.ir.module import Function, Module, PC
 
 # ---------------------------------------------------------------------------
 # Opcodes
@@ -123,15 +124,16 @@ SLOT = 1
 class BFunc:
     """One compiled function: flat code plus slot/PC metadata.
 
-    ``code[i]`` executes IR instruction ``instrs[i]`` whose source
-    location is ``pcs[i]``; ``block_start[label] + index`` converts a
-    tree-interpreter position into an instruction pointer.
+    ``code[i]`` executes the IR instruction at source location
+    ``pcs[i]``, which is a preemption point when ``shared[i]``;
+    ``block_start[label] + index`` converts an IR position into an
+    instruction pointer.
     """
 
     __slots__ = (
         "name", "nslots", "slot_regs", "reg_slots", "param_slots",
         "frame_words", "entry_ip", "block_start", "code", "pcs",
-        "lines", "instrs", "shared",
+        "lines", "shared",
     )
 
     def __init__(self, name: str, slot_regs: Tuple[Reg, ...],
@@ -148,7 +150,6 @@ class BFunc:
         self.code: List[tuple] = []
         self.pcs: Tuple[PC, ...] = ()
         self.lines: Tuple[int, ...] = ()
-        self.instrs: Tuple[Instr, ...] = ()
         self.shared: Tuple[bool, ...] = ()
 
 
@@ -231,7 +232,6 @@ def _compile_function(module: Module, func: Function,
     bfunc.code = code
     bfunc.pcs = tuple(pcs)
     bfunc.lines = tuple(instr.line for instr in instrs)
-    bfunc.instrs = tuple(instrs)
     bfunc.shared = tuple(isinstance(instr, SHARED_EFFECT_INSTRS)
                          for instr in instrs)
 
@@ -249,8 +249,8 @@ def _compile_instr(func: Function, instr: Instr, slots: Dict[Reg, int],
     if isinstance(instr, ConstInst):
         return (OP_CONST, slots[instr.dst], instr.value)
     if isinstance(instr, GAddrInst):
-        # Unknown globals stay a *runtime* error, like the tree VM:
-        # an unreachable bad gaddr must not poison the whole program.
+        # Unknown globals stay a *runtime* error: an unreachable bad
+        # gaddr must not poison the whole program.
         return (OP_GADDR, slots[instr.dst], layout.get(instr.name),
                 instr.name)
     if isinstance(instr, FrameAddrInst):
@@ -284,7 +284,7 @@ def _compile_instr(func: Function, instr: Instr, slots: Dict[Reg, int],
     if isinstance(instr, CallInst):
         args = tuple(_operand(slots, a) for a in instr.args)
         ret_slot = slots[instr.dst] if instr.dst is not None else -1
-        # Unknown callees also stay a runtime error (tree parity).
+        # Unknown callees also stay a runtime error.
         return (OP_CALL, funcs.get(instr.callee), instr.callee,
                 ret_slot, instr.dst, args)
     if isinstance(instr, InputInst):

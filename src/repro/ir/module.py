@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import IRError
-from repro.ir.instructions import Instr, Reg
+from repro.ir.instructions import Instr, Reg, WORD_MASK
 
 #: First address of the global data segment.
 GLOBALS_BASE = 0x1000
@@ -21,6 +21,18 @@ HEAP_BASE = 0x100000
 STACKS_BASE = 0x10000000
 #: Size in words of one thread's stack window.
 STACK_WINDOW = 0x10000
+
+
+@dataclass(frozen=True)
+class PC:
+    """A program counter: function, block label, instruction index."""
+
+    function: str
+    block: str
+    index: int
+
+    def __repr__(self) -> str:
+        return f"{self.function}:{self.block}[{self.index}]"
 
 
 @dataclass
@@ -118,7 +130,10 @@ class GlobalVar:
     init: Optional[List[int]] = None
 
     def initial_words(self) -> List[int]:
-        words = list(self.init or [])
+        """The initializer as canonical machine words in [0, 2^64):
+        ``global int g = -2;`` starts as the word 2^64 - 2, exactly as
+        if the program had stored -2 there."""
+        words = [word & WORD_MASK for word in self.init or ()]
         if len(words) > self.size:
             raise IRError(f"global {self.name}: initializer longer than size")
         return words + [0] * (self.size - len(words))

@@ -13,7 +13,6 @@ from repro.vm.lbr import LastBranchRecord, LBRMode
 from repro.vm.memory import AccessError, Allocation, Memory
 from repro.vm.minidump import MiniDump, minidump_of
 from repro.vm.scheduler import (
-    FixedScheduler,
     RandomPreemptScheduler,
     RoundRobinScheduler,
     Scheduler,
@@ -23,7 +22,7 @@ from repro.vm.trace import ExecutionTrace, MemAccess, TraceEvent
 
 __all__ = [
     "AccessError", "Allocation", "ALUFaultInjector", "Coredump",
-    "ExecutionTrace", "FixedScheduler", "Frame", "InjectedFault",
+    "ExecutionTrace", "Frame", "InjectedFault",
     "LastBranchRecord", "LBRMode", "MemAccess", "Memory", "MiniDump",
     "PC", "minidump_of",
     "RandomPreemptScheduler", "RoundRobinScheduler", "RunResult",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from repro.ir.instructions import Reg
+from repro.ir.instructions import Reg, WORD_MASK
 from repro.vm.state import Frame, PC, Thread, ThreadStatus
 
 
@@ -173,6 +173,10 @@ class Coredump:
 
     @classmethod
     def from_json(cls, text: str) -> "Coredump":
+        """Load a serialized dump.  Memory words and register values
+        are canonicalized into [0, 2^64) as they are read, so a dump
+        that spells a word -2 and one that spells it 2^64 - 2 load as
+        the same dump, with one fingerprint."""
         payload = json.loads(text)
 
         def pc_from_list(raw: List) -> PC:
@@ -185,7 +189,8 @@ class Coredump:
                     function=fr["function"],
                     block=fr["block"],
                     index=fr["index"],
-                    regs={Reg(name): val for name, val in fr["regs"].items()},
+                    regs={Reg(name): val & WORD_MASK
+                          for name, val in fr["regs"].items()},
                     frame_base=fr["frame_base"],
                     frame_words=fr["frame_words"],
                     ret_dst=Reg(fr["ret_dst"]) if fr["ret_dst"] else None,
@@ -211,7 +216,8 @@ class Coredump:
                 message=trap_data["message"],
                 fault_addr=trap_data["fault_addr"],
             ),
-            memory={int(a): v for a, v in payload["memory"].items()},
+            memory={int(a): v & WORD_MASK
+                    for a, v in payload["memory"].items()},
             threads=threads,
             lock_owners={int(a): t for a, t in payload["lock_owners"].items()},
             heap={int(b): (s, f) for b, (s, f) in payload["heap"].items()},

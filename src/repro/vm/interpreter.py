@@ -1,16 +1,30 @@
-"""The concrete virtual machine: a multithreaded IR interpreter.
+"""The concrete virtual machine: a multithreaded dispatch loop over
+compiled bytecode.
 
-The VM executes IR modules under a pluggable scheduler with sequential
-consistency (the memory model RES assumes, paper §4).  Guest failures
-become :class:`~repro.vm.coredump.Coredump` objects — exactly the input
-RES consumes — and never host exceptions.
+The VM compiles an IR module once (`ir/bytecode.py`, memoized per
+module object) and executes it under a pluggable scheduler with
+sequential consistency (the memory model RES assumes, paper §4).
+Guest failures become :class:`~repro.vm.coredump.Coredump` objects —
+exactly the input RES consumes — and never host exceptions.  One VM
+produces every coredump, replays every suffix against it, and drives
+the reverse debugger, so "the replay matches the coredump" compares the
+machine with itself.
 
-The VM exposes two driving modes:
+Three driving modes share one dispatch loop (:meth:`VM._leg`):
 
-* :meth:`VM.run` — scheduler-driven execution (production runs).
-* :meth:`VM.step_thread` — externally driven single stepping, for
-  callers that control interleaving precisely (the suffix replayer and
-  the debugger, both on :class:`~repro.vm.bytecode_vm.BytecodeVM`).
+* :meth:`VM.run` — scheduler-driven execution (production runs); the
+  scheduler is consulted before every instruction.
+* :meth:`VM.step_thread` — externally driven single stepping (the
+  debugger, the replayer's deadlock check).
+* :meth:`VM.run_leg` — ``count`` consecutive steps of one thread
+  without per-step method dispatch (batched replay legs).
+
+Registers live in slot frames (:class:`BFrame`): a register is a list
+index and the undefined-register check is an ``is None`` test.  Traced
+runs append each step as a plain tuple row; :class:`TraceEvent` objects
+are only built when something reads the trace.  The layout idiom (slot
+frames over an immutable compiled program) follows the Converge pypyvm
+dispatch-loop design.
 """
 
 from __future__ import annotations
@@ -20,48 +34,54 @@ from enum import Enum
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import VMError
-from repro.ir.instructions import (
-    AbortInst,
-    AllocInst,
-    AssertInst,
-    BinInst,
-    BrInst,
-    CallInst,
-    CBrInst,
-    CmpInst,
-    ConstInst,
-    FrameAddrInst,
-    FreeInst,
-    GAddrInst,
-    HaltInst,
-    Imm,
-    InputInst,
-    Instr,
-    JoinInst,
-    LoadInst,
-    LockInst,
-    MovInst,
-    Operand,
-    OutputInst,
-    Reg,
-    RetInst,
-    SHARED_EFFECT_INSTRS,
-    SpawnInst,
-    StoreInst,
-    UnlockInst,
-    to_signed,
-    to_unsigned,
+from repro.ir.bytecode import (
+    BFunc,
+    BytecodeProgram,
+    OP_ABORT,
+    OP_ALLOC,
+    OP_ASSERT,
+    OP_BIN_BASE,
+    OP_BR,
+    OP_CALL,
+    OP_CBR,
+    OP_CMP_BASE,
+    OP_CONST,
+    OP_FRAMEADDR,
+    OP_FREE,
+    OP_GADDR,
+    OP_HALT,
+    OP_INPUT,
+    OP_JOIN,
+    OP_LOAD,
+    OP_LOCK,
+    OP_MOV,
+    OP_OUTPUT,
+    OP_RET,
+    OP_SPAWN,
+    OP_STORE,
+    OP_UNLOCK,
+    compile_program,
 )
+from repro.ir.instructions import Reg, WORD_MASK, to_unsigned
 from repro.ir.module import Module
 from repro.vm.coredump import Coredump, ThreadDump, Trap, TrapKind
 from repro.vm.lbr import LastBranchRecord, LBRMode
 from repro.vm.memory import AccessError, Memory
 from repro.vm.scheduler import RandomPreemptScheduler, Scheduler
 from repro.vm.state import Frame, PC, Thread, ThreadStatus
-from repro.vm.trace import ExecutionTrace, MemAccess, TraceEvent
+from repro.vm.trace import ExecutionTrace
 
 #: How many output-log entries a coredump retains (the "error log tail").
 LOG_TAIL_WORDS = 64
+
+(OP_ADD, OP_SUB, OP_MUL, OP_UDIV, OP_SDIV, OP_UREM, OP_SREM,
+ OP_AND, OP_OR, OP_XOR, OP_SHL, OP_LSHR, OP_ASHR) = range(
+    OP_BIN_BASE, OP_CMP_BASE)
+(OP_EQ, OP_NE, OP_ULT, OP_ULE, OP_UGT, OP_UGE,
+ OP_SLT, OP_SLE, OP_SGT, OP_SGE) = range(OP_CMP_BASE, OP_LOAD)
+
+_SIGN_BIT = 1 << 63
+_TWO_POW_64 = 1 << 64
 
 
 class RunStatus(Enum):
@@ -85,7 +105,7 @@ class RunResult:
 
 
 class _TrapSignal(Exception):
-    """Internal: unwinds the interpreter to the coredump builder."""
+    """Internal: unwinds the dispatch loop to the coredump builder."""
 
     def __init__(self, kind: TrapKind, message: str = "",
                  fault_addr: Optional[int] = None):
@@ -103,12 +123,67 @@ class _ExitSignal(Exception):
         super().__init__(str(code))
 
 
-def _shared_effect(instr: Instr) -> bool:
-    return isinstance(instr, SHARED_EFFECT_INSTRS)
+class BFrame:
+    """A slot-based activation record.  It reads like a coredump
+    :class:`~repro.vm.state.Frame` where the rest of the system looks
+    (``pc``, ``regs``, ``copy``) and :meth:`copy` turns it into one.
+    """
+
+    __slots__ = ("bfunc", "ip", "slots", "frame_base", "ret_dst",
+                 "ret_slot")
+
+    def __init__(self, bfunc: BFunc, ip: int, slots: List[Optional[int]],
+                 frame_base: int, ret_dst: Optional[Reg], ret_slot: int):
+        self.bfunc = bfunc
+        self.ip = ip
+        self.slots = slots
+        self.frame_base = frame_base
+        self.ret_dst = ret_dst
+        self.ret_slot = ret_slot
+
+    @property
+    def function(self) -> str:
+        return self.bfunc.name
+
+    @property
+    def block(self) -> str:
+        return self.bfunc.pcs[self.ip].block
+
+    @property
+    def index(self) -> int:
+        return self.bfunc.pcs[self.ip].index
+
+    @property
+    def frame_words(self) -> int:
+        return self.bfunc.frame_words
+
+    @property
+    def pc(self) -> PC:
+        return self.bfunc.pcs[self.ip]
+
+    @property
+    def regs(self) -> Dict[Reg, int]:
+        """Defined registers in slot order."""
+        slot_regs = self.bfunc.slot_regs
+        return {slot_regs[i]: value
+                for i, value in enumerate(self.slots) if value is not None}
+
+    def copy(self) -> Frame:
+        """Materialize as a coredump frame."""
+        pc = self.bfunc.pcs[self.ip]
+        return Frame(
+            function=pc.function,
+            block=pc.block,
+            index=pc.index,
+            regs=self.regs,
+            frame_base=self.frame_base,
+            frame_words=self.bfunc.frame_words,
+            ret_dst=self.ret_dst,
+        )
 
 
 class VM:
-    """A multithreaded interpreter for one IR module.
+    """A multithreaded VM for one IR module.
 
     Args:
         module: the program to run.
@@ -117,7 +192,8 @@ class VM:
         scheduler: interleaving policy; defaults to a seeded random
             preemptive scheduler.
         record_trace: capture a ground-truth :class:`ExecutionTrace`
-            (tests only — RES never sees it).
+            (tests, root-cause analysis of replays, the debugger — RES
+            never sees a production trace).
         check_bounds: when False, stray loads/stores silently corrupt
             memory instead of trapping (Figure 1's overflow scenario).
         lbr_depth: size of the simulated Last Branch Record (0 disables).
@@ -126,6 +202,8 @@ class VM:
             model CPU computation errors (§3.2).
         start_main: create thread 0 at ``main``; pass False to build the
             thread set by hand (replay).
+        program: the module's compiled form, when the caller already
+            holds it; by default the memoized compile of ``module``.
     """
 
     def __init__(
@@ -139,8 +217,11 @@ class VM:
         lbr_mode: LBRMode = LBRMode.ALL,
         alu_fault: Optional[Callable[[PC, str, int], int]] = None,
         start_main: bool = True,
+        program: Optional[BytecodeProgram] = None,
     ):
         self.module = module
+        self.program = program if program is not None \
+            else compile_program(module)
         self.memory = Memory(module, check_bounds=check_bounds)
         self.inputs: List[int] = [to_unsigned(v) for v in inputs]
         self.input_cursor = 0
@@ -150,13 +231,11 @@ class VM:
         self.alu_fault = alu_fault
         self.threads: Dict[int, Thread] = {}
         self.lock_owners: Dict[int, int] = {}
-        self.lock_waiters: Dict[int, List[int]] = {}
         self.outputs: List[int] = []
         self.log: List[Tuple[int, int, PC]] = []
         self.steps = 0
         self.next_tid = 0
         self.exit_code: Optional[int] = None
-        self._trap: Optional[Trap] = None
         if start_main:
             if "main" not in module.functions:
                 raise VMError("module has no main function")
@@ -173,41 +252,17 @@ class VM:
             raise VMError(f"{func_name} expects {len(func.params)} args")
         tid = self.next_tid
         self.next_tid += 1
-        frame = self._make_frame(tid, func_name, ret_dst=None)
-        for param, value in zip(func.params, args):
-            frame.regs[param] = to_unsigned(value)
+        bfunc = self.program.funcs[func_name]
+        base = 0
+        if bfunc.frame_words:
+            base = self.memory.stack_push(tid, bfunc.frame_words)
+        frame = BFrame(bfunc, bfunc.entry_ip, [None] * bfunc.nslots,
+                       base, None, -1)
+        for slot, value in zip(bfunc.param_slots, args):
+            frame.slots[slot] = to_unsigned(value)
         self.threads[tid] = Thread(tid=tid, frames=[frame],
                                    start_function=func_name)
         return tid
-
-    def _make_frame(self, tid: int, func_name: str,
-                    ret_dst: Optional[Reg]) -> Frame:
-        func = self.module.function(func_name)
-        base = 0
-        if func.frame_words:
-            base = self.memory.stack_push(tid, func.frame_words)
-        return Frame(
-            function=func_name,
-            block=func.entry,
-            index=0,
-            frame_base=base,
-            frame_words=func.frame_words,
-            ret_dst=ret_dst,
-        )
-
-    # ------------------------------------------------------------------
-    # Operand evaluation
-    # ------------------------------------------------------------------
-
-    def _value(self, frame: Frame, op: Operand) -> int:
-        if isinstance(op, Imm):
-            return op.value
-        try:
-            return frame.regs[op]
-        except KeyError:
-            raise VMError(
-                f"read of undefined register {op!r} in {frame.function}:{frame.block}"
-            ) from None
 
     # ------------------------------------------------------------------
     # Scheduling loop
@@ -233,21 +288,28 @@ class VM:
         )
 
     def run(self, max_steps: int = 1_000_000) -> RunResult:
-        """Scheduler-driven execution until exit, trap, or budget."""
+        """Scheduler-driven execution until exit, trap, or budget.
+
+        The scheduler sees every instruction boundary, told whether the
+        current thread's next instruction has a shared effect (the flag
+        the compiler precomputed in ``BFunc.shared``).
+        """
+        threads = self.threads
         current: Optional[int] = None
         while self.steps < max_steps:
             self.wake_threads()
             runnable = self.runnable_tids()
             if not runnable:
-                if all(t.status is ThreadStatus.FINISHED for t in self.threads.values()):
+                if all(t.status is ThreadStatus.FINISHED
+                       for t in threads.values()):
                     return self._exited(0)
                 return self._trapped_deadlock()
             shared = False
             if current in runnable:
-                thread = self.threads[current]
-                instr = self._current_instr(thread)
-                shared = _shared_effect(instr)
-            current = self.scheduler.at_preemption_point(runnable, current, shared)
+                frame = threads[current].frames[-1]
+                shared = frame.bfunc.shared[frame.ip]
+            current = self.scheduler.at_preemption_point(runnable, current,
+                                                         shared)
             result = self.step_thread(current)
             if result is not None:
                 return result
@@ -256,307 +318,502 @@ class VM:
             trace=self.trace, outputs=list(self.outputs),
         )
 
-    def _current_instr(self, thread: Thread) -> Instr:
-        frame = thread.top
-        block = self.module.function(frame.function).block(frame.block)
-        return block.instrs[frame.index]
-
     # ------------------------------------------------------------------
-    # Single-step execution (also the replayer's entry point)
+    # Stepping
     # ------------------------------------------------------------------
 
     def step_thread(self, tid: int) -> Optional[RunResult]:
         """Execute one instruction of thread ``tid``.
 
         Returns a terminal :class:`RunResult` if the program exited or
-        trapped, else None.  Blocked threads re-execute their blocking
-        instruction when stepped; callers should consult
-        :meth:`runnable_tids` first.
+        trapped, else None.  A thread that is not runnable does not
+        step; callers should consult :meth:`runnable_tids` first.
         """
         thread = self.threads[tid]
         if thread.status is not ThreadStatus.RUNNABLE:
             return None
-        frame = thread.top
-        instr = self._current_instr(thread)
-        self._event_reads: List[MemAccess] = []
-        self._event_writes: List[MemAccess] = []
-        self._event_lock_acq: Optional[int] = None
-        self._event_lock_rel: Optional[int] = None
-        self._event_input: Optional[int] = None
-        self._event_output: Optional[int] = None
-        pc = frame.pc
+        return self._leg(thread, 1)[1]
+
+    def run_leg(self, tid: int, count: int) -> Tuple[int, Optional[RunResult]]:
+        """Drive up to ``count`` consecutive steps of one runnable
+        thread (the replayer's batched entry point).  Returns the
+        number of steps executed and a terminal result if the program
+        exited or trapped.  Stops early when the thread blocks or
+        finishes; the caller inspects ``thread.status``.
+        """
+        return self._leg(self.threads[tid], count)
+
+    def _undef(self, bfunc: BFunc, ip: int, slot: int) -> None:
+        pc = bfunc.pcs[ip]
+        reg = bfunc.slot_regs[slot]
+        raise VMError(
+            f"read of undefined register {reg!r} in {pc.function}:{pc.block}"
+        )
+
+    def _leg(self, thread: Thread, count: int):
+        tid = thread.tid
+        memory = self.memory
+        threads = self.threads
+        lock_owners = self.lock_owners
+        raw = self.trace.rows if self.trace is not None else None
+        lbr = self.lbr
+        lbr_on = lbr.enabled
+        alu = self.alu_fault
+        frame = thread.frames[-1]
+        bfunc = frame.bfunc
+        code = bfunc.code
+        pcs = bfunc.pcs
+        flines = bfunc.lines
+        slots = frame.slots
+        ip = frame.ip
+        steps = self.steps
+        executed = 0
+        MASK = WORD_MASK
+        pc = pcs[ip]
+        line = 0
+        ev_reads: tuple = ()
+        ev_writes: tuple = ()
+        ev_la = ev_lr = ev_in = ev_out = None
         try:
-            self._execute(thread, frame, instr)
-        except _TrapSignal as trap:
-            self._trap = Trap(kind=trap.kind, tid=tid, pc=pc,
-                              message=trap.message, fault_addr=trap.fault_addr)
-            self.steps += 1
-            self._record_event(tid, pc, instr)
-            return self._trapped(self._trap)
+            while True:
+                op = code[ip]
+                opcode = op[0]
+                pc = pcs[ip]
+                line = flines[ip]
+                ev_reads = ()
+                ev_writes = ()
+                ev_la = ev_lr = ev_in = ev_out = None
+                stop = False
+                if opcode == OP_CONST:
+                    slots[op[1]] = op[2]
+                    ip += 1
+                elif opcode == OP_MOV:
+                    if op[2]:
+                        value = slots[op[3]]
+                        if value is None:
+                            self._undef(bfunc, ip, op[3])
+                    else:
+                        value = op[3]
+                    slots[op[1]] = value
+                    ip += 1
+                elif OP_CMP_BASE <= opcode < OP_LOAD:
+                    if op[2]:
+                        a = slots[op[3]]
+                        if a is None:
+                            self._undef(bfunc, ip, op[3])
+                    else:
+                        a = op[3]
+                    if op[4]:
+                        b = slots[op[5]]
+                        if b is None:
+                            self._undef(bfunc, ip, op[5])
+                    else:
+                        b = op[5]
+                    if opcode >= OP_SLT:
+                        if a >= _SIGN_BIT:
+                            a -= _TWO_POW_64
+                        if b >= _SIGN_BIT:
+                            b -= _TWO_POW_64
+                        if opcode == OP_SLT:
+                            r = a < b
+                        elif opcode == OP_SLE:
+                            r = a <= b
+                        elif opcode == OP_SGT:
+                            r = a > b
+                        else:
+                            r = a >= b
+                    elif opcode == OP_EQ:
+                        r = a == b
+                    elif opcode == OP_NE:
+                        r = a != b
+                    elif opcode == OP_ULT:
+                        r = a < b
+                    elif opcode == OP_ULE:
+                        r = a <= b
+                    elif opcode == OP_UGT:
+                        r = a > b
+                    else:
+                        r = a >= b
+                    slots[op[1]] = 1 if r else 0
+                    ip += 1
+                elif opcode < OP_CMP_BASE and opcode >= OP_BIN_BASE:
+                    if op[2]:
+                        a = slots[op[3]]
+                        if a is None:
+                            self._undef(bfunc, ip, op[3])
+                    else:
+                        a = op[3]
+                    if op[4]:
+                        b = slots[op[5]]
+                        if b is None:
+                            self._undef(bfunc, ip, op[5])
+                    else:
+                        b = op[5]
+                    # Operands are canonical words, so and/or/xor/lshr
+                    # and the divisions stay in [0, 2^64) unmasked.
+                    if opcode == OP_ADD:
+                        result = (a + b) & MASK
+                    elif opcode == OP_SUB:
+                        result = (a - b) & MASK
+                    elif opcode == OP_MUL:
+                        result = (a * b) & MASK
+                    elif opcode == OP_AND:
+                        result = a & b
+                    elif opcode == OP_OR:
+                        result = a | b
+                    elif opcode == OP_XOR:
+                        result = a ^ b
+                    elif opcode == OP_SHL:
+                        result = (a << (b % 64)) & MASK
+                    elif opcode == OP_LSHR:
+                        result = a >> (b % 64)
+                    elif opcode == OP_ASHR:
+                        sa = a - _TWO_POW_64 if a >= _SIGN_BIT else a
+                        result = (sa >> (b % 64)) & MASK
+                    elif opcode == OP_UDIV or opcode == OP_UREM:
+                        if b == 0:
+                            raise _TrapSignal(TrapKind.DIV_BY_ZERO,
+                                              "unsigned division by zero")
+                        result = a // b if opcode == OP_UDIV else a % b
+                    else:  # sdiv / srem
+                        if b == 0:
+                            raise _TrapSignal(TrapKind.DIV_BY_ZERO,
+                                              "signed division by zero")
+                        sa = a - _TWO_POW_64 if a >= _SIGN_BIT else a
+                        sb = b - _TWO_POW_64 if b >= _SIGN_BIT else b
+                        quotient = abs(sa) // abs(sb)
+                        if (sa < 0) != (sb < 0):
+                            quotient = -quotient
+                        result = (quotient if opcode == OP_SDIV
+                                  else sa - quotient * sb) & MASK
+                    if alu is not None:
+                        result = alu(pc, op[6], result) & MASK
+                    slots[op[1]] = result
+                    ip += 1
+                elif opcode == OP_CBR:
+                    if op[1]:
+                        cond = slots[op[2]]
+                        if cond is None:
+                            self._undef(bfunc, ip, op[2])
+                    else:
+                        cond = op[2]
+                    target = op[3] if cond != 0 else op[4]
+                    if lbr_on:
+                        lbr.record(pc, pcs[target], inferable=False)
+                    ip = target
+                elif opcode == OP_BR:
+                    if lbr_on:
+                        lbr.record(pc, pcs[op[1]], inferable=op[2])
+                    ip = op[1]
+                elif opcode == OP_LOAD:
+                    if op[2]:
+                        addr = slots[op[3]]
+                        if addr is None:
+                            self._undef(bfunc, ip, op[3])
+                    else:
+                        addr = op[3]
+                    value, error = memory.read(addr)
+                    if error is not None:
+                        if error is AccessError.OUT_OF_BOUNDS:
+                            raise _TrapSignal(TrapKind.OUT_OF_BOUNDS,
+                                              f"load from {addr:#x}", addr)
+                        raise _TrapSignal(TrapKind.USE_AFTER_FREE,
+                                          f"load from freed {addr:#x}", addr)
+                    if raw is not None:
+                        ev_reads = ((addr, value),)
+                    slots[op[1]] = value
+                    ip += 1
+                elif opcode == OP_STORE:
+                    if op[1]:
+                        addr = slots[op[2]]
+                        if addr is None:
+                            self._undef(bfunc, ip, op[2])
+                    else:
+                        addr = op[2]
+                    if op[3]:
+                        value = slots[op[4]]
+                        if value is None:
+                            self._undef(bfunc, ip, op[4])
+                    else:
+                        value = op[4]
+                    error = memory.write(addr, value)
+                    if error is not None:
+                        if error is AccessError.OUT_OF_BOUNDS:
+                            raise _TrapSignal(TrapKind.OUT_OF_BOUNDS,
+                                              f"store to {addr:#x}", addr)
+                        raise _TrapSignal(TrapKind.USE_AFTER_FREE,
+                                          f"store to freed {addr:#x}", addr)
+                    if raw is not None:
+                        ev_writes = ((addr, value & MASK),)
+                    ip += 1
+                elif opcode == OP_CALL:
+                    callee = op[1]
+                    if callee is None:
+                        self.module.function(op[2])  # raises IRError
+                        raise VMError(f"call to uncompiled function "
+                                      f"{op[2]!r}")  # pragma: no cover
+                    args = op[5]
+                    values = []
+                    for mode, operand in args:
+                        if mode:
+                            value = slots[operand]
+                            if value is None:
+                                self._undef(bfunc, ip, operand)
+                            values.append(value)
+                        else:
+                            values.append(operand)
+                    frame.ip = ip + 1  # return continues after the call
+                    base = 0
+                    if callee.frame_words:
+                        base = memory.stack_push(tid, callee.frame_words)
+                    new_slots: List[Optional[int]] = [None] * callee.nslots
+                    for slot, value in zip(callee.param_slots, values):
+                        new_slots[slot] = value
+                    new_frame = BFrame(callee, callee.entry_ip, new_slots,
+                                       base, op[4], op[3])
+                    thread.frames.append(new_frame)
+                    if lbr_on:
+                        lbr.record(pc, callee.pcs[callee.entry_ip],
+                                   inferable=True)
+                    frame = new_frame
+                    bfunc = callee
+                    code = bfunc.code
+                    pcs = bfunc.pcs
+                    flines = bfunc.lines
+                    slots = new_slots
+                    ip = bfunc.entry_ip
+                elif opcode == OP_RET:
+                    if op[1]:
+                        if op[2]:
+                            value = slots[op[3]]
+                            if value is None:
+                                self._undef(bfunc, ip, op[3])
+                        else:
+                            value = op[3]
+                    else:
+                        value = 0
+                    if bfunc.frame_words:
+                        memory.stack_pop(tid, bfunc.frame_words)
+                    frames = thread.frames
+                    frames.pop()
+                    if not frames:
+                        thread.status = ThreadStatus.FINISHED
+                        thread.return_value = value
+                        # Like pthreads, locks held by an exiting
+                        # thread stay held (wedges surface as deadlock
+                        # coredumps).
+                        if tid == 0:
+                            raise _ExitSignal(value)
+                        stop = True
+                    else:
+                        caller = frames[-1]
+                        if frame.ret_slot >= 0:
+                            caller.slots[frame.ret_slot] = value
+                        if lbr_on:
+                            lbr.record(pc, caller.bfunc.pcs[caller.ip],
+                                       inferable=True)
+                        frame = caller
+                        bfunc = frame.bfunc
+                        code = bfunc.code
+                        pcs = bfunc.pcs
+                        flines = bfunc.lines
+                        slots = frame.slots
+                        ip = frame.ip
+                elif opcode == OP_ASSERT:
+                    if op[1]:
+                        cond = slots[op[2]]
+                        if cond is None:
+                            self._undef(bfunc, ip, op[2])
+                    else:
+                        cond = op[2]
+                    if cond == 0:
+                        raise _TrapSignal(TrapKind.ASSERT_FAIL, op[3])
+                    ip += 1
+                elif opcode == OP_FRAMEADDR:
+                    slots[op[1]] = frame.frame_base + op[2]
+                    ip += 1
+                elif opcode == OP_GADDR:
+                    if op[2] is None:
+                        raise VMError(f"unknown global {op[3]!r}")
+                    slots[op[1]] = op[2]
+                    ip += 1
+                elif opcode == OP_ALLOC:
+                    if op[2]:
+                        size = slots[op[3]]
+                        if size is None:
+                            self._undef(bfunc, ip, op[3])
+                    else:
+                        size = op[3]
+                    slots[op[1]] = memory.heap_alloc(size)
+                    ip += 1
+                elif opcode == OP_FREE:
+                    if op[1]:
+                        addr = slots[op[2]]
+                        if addr is None:
+                            self._undef(bfunc, ip, op[2])
+                    else:
+                        addr = op[2]
+                    error = memory.heap_free(addr)
+                    if error == "double-free":
+                        raise _TrapSignal(TrapKind.DOUBLE_FREE,
+                                          f"double free of {addr:#x}", addr)
+                    if error == "invalid-free":
+                        raise _TrapSignal(TrapKind.INVALID_FREE,
+                                          f"free of {addr:#x}", addr)
+                    ip += 1
+                elif opcode == OP_INPUT:
+                    cursor = self.input_cursor
+                    if cursor < len(self.inputs):
+                        value = self.inputs[cursor]
+                        self.input_cursor = cursor + 1
+                    else:
+                        value = 0
+                    ev_in = value
+                    slots[op[1]] = value
+                    ip += 1
+                elif opcode == OP_OUTPUT:
+                    if op[1]:
+                        value = slots[op[2]]
+                        if value is None:
+                            self._undef(bfunc, ip, op[2])
+                    else:
+                        value = op[2]
+                    self.outputs.append(value)
+                    log = self.log
+                    log.append((tid, value, pc))
+                    if len(log) > LOG_TAIL_WORDS:
+                        log.pop(0)
+                    ev_out = value
+                    ip += 1
+                elif opcode == OP_SPAWN:
+                    values = []
+                    for mode, operand in op[3]:
+                        if mode:
+                            value = slots[operand]
+                            if value is None:
+                                self._undef(bfunc, ip, operand)
+                            values.append(value)
+                        else:
+                            values.append(operand)
+                    slots[op[1]] = self.spawn_thread(op[2], values)
+                    ip += 1
+                elif opcode == OP_JOIN:
+                    if op[1]:
+                        target_tid = slots[op[2]]
+                        if target_tid is None:
+                            self._undef(bfunc, ip, op[2])
+                    else:
+                        target_tid = op[2]
+                    target = threads.get(target_tid)
+                    if target is None or target_tid == tid:
+                        raise _TrapSignal(TrapKind.INVALID_JOIN,
+                                          f"join {target_tid}")
+                    if target.status is not ThreadStatus.FINISHED:
+                        thread.status = ThreadStatus.BLOCKED_JOIN
+                        thread.blocked_on = target_tid
+                        stop = True  # do not advance; re-execute when woken
+                    else:
+                        ip += 1
+                elif opcode == OP_LOCK:
+                    if op[1]:
+                        addr = slots[op[2]]
+                        if addr is None:
+                            self._undef(bfunc, ip, op[2])
+                    else:
+                        addr = op[2]
+                    owner = lock_owners.get(addr)
+                    if owner is None:
+                        lock_owners[addr] = tid
+                        thread.held_locks.append(addr)
+                        error = memory.write(addr, 1)
+                        if error is not None:
+                            if error is AccessError.OUT_OF_BOUNDS:
+                                raise _TrapSignal(TrapKind.OUT_OF_BOUNDS,
+                                                  f"store to {addr:#x}", addr)
+                            raise _TrapSignal(TrapKind.USE_AFTER_FREE,
+                                              f"store to freed {addr:#x}",
+                                              addr)
+                        if raw is not None:
+                            ev_writes = ((addr, 1),)
+                        ev_la = addr
+                        ip += 1
+                    elif owner == tid:
+                        raise _TrapSignal(TrapKind.DEADLOCK,
+                                          f"relock of {addr:#x}", addr)
+                    else:
+                        thread.status = ThreadStatus.BLOCKED_LOCK
+                        thread.blocked_on = addr
+                        stop = True  # blocked; do not advance
+                elif opcode == OP_UNLOCK:
+                    if op[1]:
+                        addr = slots[op[2]]
+                        if addr is None:
+                            self._undef(bfunc, ip, op[2])
+                    else:
+                        addr = op[2]
+                    if lock_owners.get(addr) != tid:
+                        raise _TrapSignal(TrapKind.UNLOCK_NOT_HELD,
+                                          f"unlock of {addr:#x}", addr)
+                    del lock_owners[addr]
+                    thread.held_locks.remove(addr)
+                    error = memory.write(addr, 0)
+                    if error is not None:
+                        if error is AccessError.OUT_OF_BOUNDS:
+                            raise _TrapSignal(TrapKind.OUT_OF_BOUNDS,
+                                              f"store to {addr:#x}", addr)
+                        raise _TrapSignal(TrapKind.USE_AFTER_FREE,
+                                          f"store to freed {addr:#x}", addr)
+                    if raw is not None:
+                        ev_writes = ((addr, 0),)
+                    ev_lr = addr
+                    ip += 1
+                elif opcode == OP_HALT:
+                    if op[1]:
+                        value = slots[op[2]]
+                        if value is None:
+                            self._undef(bfunc, ip, op[2])
+                    else:
+                        value = op[2]
+                    raise _ExitSignal(value)
+                elif opcode == OP_ABORT:
+                    raise _TrapSignal(TrapKind.ABORT, op[1])
+                else:  # pragma: no cover
+                    raise VMError(f"unknown opcode {opcode}")
+                steps += 1
+                executed += 1
+                if raw is not None:
+                    held = thread.held_locks
+                    raw.append((steps, tid, pc, line, ev_reads, ev_writes,
+                                ev_la, ev_lr,
+                                tuple(held) if held else (),
+                                ev_in, ev_out))
+                if stop or executed >= count:
+                    break
+        except _TrapSignal as signal:
+            frame.ip = ip
+            trap = Trap(kind=signal.kind, tid=tid, pc=pc,
+                        message=signal.message, fault_addr=signal.fault_addr)
+            steps += 1
+            self.steps = steps
+            if raw is not None:
+                held = thread.held_locks
+                raw.append((steps, tid, pc, line, ev_reads, ev_writes,
+                            ev_la, ev_lr, tuple(held) if held else (),
+                            ev_in, ev_out))
+            return executed + 1, self._trapped(trap)
         except _ExitSignal as exit_signal:
-            self.steps += 1
-            self._record_event(tid, pc, instr)
-            return self._exited(exit_signal.code)
-        self.steps += 1
-        self._record_event(tid, pc, instr)
-        return None
-
-    def _record_event(self, tid: int, pc: PC, instr: Instr) -> None:
-        if self.trace is None:
-            return
-        thread = self.threads[tid]
-        self.trace.append(TraceEvent(
-            step=self.steps,
-            tid=tid,
-            pc=pc,
-            line=instr.line,
-            reads=tuple(self._event_reads),
-            writes=tuple(self._event_writes),
-            lock_acquired=self._event_lock_acq,
-            lock_released=self._event_lock_rel,
-            locks_held=tuple(thread.held_locks),
-            input_value=self._event_input,
-            output_value=self._event_output,
-        ))
-
-    # ------------------------------------------------------------------
-    # Memory helpers (trap on access errors)
-    # ------------------------------------------------------------------
-
-    def _mem_read(self, addr: int) -> int:
-        value, error = self.memory.read(addr)
-        if error is AccessError.OUT_OF_BOUNDS:
-            raise _TrapSignal(TrapKind.OUT_OF_BOUNDS, f"load from {addr:#x}", addr)
-        if error is AccessError.USE_AFTER_FREE:
-            raise _TrapSignal(TrapKind.USE_AFTER_FREE, f"load from freed {addr:#x}", addr)
-        self._event_reads.append(MemAccess(addr, value))
-        return value
-
-    def _mem_write(self, addr: int, value: int) -> None:
-        error = self.memory.write(addr, value)
-        if error is AccessError.OUT_OF_BOUNDS:
-            raise _TrapSignal(TrapKind.OUT_OF_BOUNDS, f"store to {addr:#x}", addr)
-        if error is AccessError.USE_AFTER_FREE:
-            raise _TrapSignal(TrapKind.USE_AFTER_FREE, f"store to freed {addr:#x}", addr)
-        self._event_writes.append(MemAccess(addr, to_unsigned(value)))
-
-    # ------------------------------------------------------------------
-    # Instruction execution
-    # ------------------------------------------------------------------
-
-    def _execute(self, thread: Thread, frame: Frame, instr: Instr) -> None:
-        if isinstance(instr, ConstInst):
-            frame.regs[instr.dst] = instr.value
-        elif isinstance(instr, GAddrInst):
-            layout = self.module.layout()
-            if instr.name not in layout:
-                raise VMError(f"unknown global {instr.name!r}")
-            frame.regs[instr.dst] = layout[instr.name]
-        elif isinstance(instr, FrameAddrInst):
-            frame.regs[instr.dst] = frame.frame_base + instr.offset
-        elif isinstance(instr, MovInst):
-            frame.regs[instr.dst] = self._value(frame, instr.src)
-        elif isinstance(instr, BinInst):
-            frame.regs[instr.dst] = self._binop(frame, instr)
-        elif isinstance(instr, CmpInst):
-            frame.regs[instr.dst] = self._cmpop(frame, instr)
-        elif isinstance(instr, LoadInst):
-            addr = self._value(frame, instr.addr)
-            frame.regs[instr.dst] = self._mem_read(addr)
-        elif isinstance(instr, StoreInst):
-            addr = self._value(frame, instr.addr)
-            self._mem_write(addr, self._value(frame, instr.value))
-        elif isinstance(instr, AllocInst):
-            size = self._value(frame, instr.size)
-            frame.regs[instr.dst] = self.memory.heap_alloc(size)
-        elif isinstance(instr, FreeInst):
-            addr = self._value(frame, instr.addr)
-            error = self.memory.heap_free(addr)
-            if error == "double-free":
-                raise _TrapSignal(TrapKind.DOUBLE_FREE, f"double free of {addr:#x}", addr)
-            if error == "invalid-free":
-                raise _TrapSignal(TrapKind.INVALID_FREE, f"free of {addr:#x}", addr)
-        elif isinstance(instr, CallInst):
-            self._do_call(thread, frame, instr)
-            return  # frame/index bookkeeping handled inside
-        elif isinstance(instr, InputInst):
-            frame.regs[instr.dst] = self._next_input()
-        elif isinstance(instr, OutputInst):
-            value = self._value(frame, instr.value)
-            self.outputs.append(value)
-            self.log.append((thread.tid, value, frame.pc))
-            if len(self.log) > LOG_TAIL_WORDS:
-                self.log.pop(0)
-            self._event_output = value
-        elif isinstance(instr, SpawnInst):
-            args = [self._value(frame, a) for a in instr.args]
-            frame.regs[instr.dst] = self.spawn_thread(instr.callee, args)
-        elif isinstance(instr, JoinInst):
-            target_tid = self._value(frame, instr.tid)
-            target = self.threads.get(target_tid)
-            if target is None or target_tid == thread.tid:
-                raise _TrapSignal(TrapKind.INVALID_JOIN, f"join {target_tid}")
-            if target.status is not ThreadStatus.FINISHED:
-                thread.status = ThreadStatus.BLOCKED_JOIN
-                thread.blocked_on = target_tid
-                return  # do not advance; re-execute when woken
-        elif isinstance(instr, LockInst):
-            if not self._do_lock(thread, frame, instr):
-                return  # blocked; do not advance
-        elif isinstance(instr, UnlockInst):
-            self._do_unlock(thread, frame, instr)
-        elif isinstance(instr, AssertInst):
-            if self._value(frame, instr.cond) == 0:
-                raise _TrapSignal(TrapKind.ASSERT_FAIL, instr.message)
-        elif isinstance(instr, BrInst):
-            self._jump(thread, frame, instr.target, inferable=True)
-            return
-        elif isinstance(instr, CBrInst):
-            cond = self._value(frame, instr.cond)
-            target = instr.then_target if cond != 0 else instr.else_target
-            self._jump(thread, frame, target, inferable=False)
-            return
-        elif isinstance(instr, RetInst):
-            self._do_ret(thread, frame, instr)
-            return
-        elif isinstance(instr, HaltInst):
-            raise _ExitSignal(self._value(frame, instr.code))
-        elif isinstance(instr, AbortInst):
-            raise _TrapSignal(TrapKind.ABORT, instr.message)
-        else:  # pragma: no cover
-            raise VMError(f"unknown instruction {instr!r}")
-        frame.index += 1
-
-    def _binop(self, frame: Frame, instr: BinInst) -> int:
-        a = self._value(frame, instr.a)
-        b = self._value(frame, instr.b)
-        op = instr.op
-        if op == "add":
-            result = a + b
-        elif op == "sub":
-            result = a - b
-        elif op == "mul":
-            result = a * b
-        elif op in ("udiv", "urem"):
-            if b == 0:
-                raise _TrapSignal(TrapKind.DIV_BY_ZERO, "unsigned division by zero")
-            result = a // b if op == "udiv" else a % b
-        elif op in ("sdiv", "srem"):
-            if b == 0:
-                raise _TrapSignal(TrapKind.DIV_BY_ZERO, "signed division by zero")
-            sa, sb = to_signed(a), to_signed(b)
-            quotient = abs(sa) // abs(sb)
-            if (sa < 0) != (sb < 0):
-                quotient = -quotient
-            result = quotient if op == "sdiv" else sa - quotient * sb
-        elif op == "and":
-            result = a & b
-        elif op == "or":
-            result = a | b
-        elif op == "xor":
-            result = a ^ b
-        elif op == "shl":
-            result = a << (b % 64)
-        elif op == "lshr":
-            result = a >> (b % 64)
-        elif op == "ashr":
-            result = to_signed(a) >> (b % 64)
-        else:  # pragma: no cover
-            raise VMError(f"unknown binary op {op!r}")
-        result = to_unsigned(result)
-        if self.alu_fault is not None:
-            result = to_unsigned(self.alu_fault(frame.pc, op, result))
-        return result
-
-    def _cmpop(self, frame: Frame, instr: CmpInst) -> int:
-        a = self._value(frame, instr.a)
-        b = self._value(frame, instr.b)
-        op = instr.op
-        if op in ("slt", "sle", "sgt", "sge"):
-            a, b = to_signed(a), to_signed(b)
-        result = {
-            "eq": a == b, "ne": a != b,
-            "ult": a < b, "ule": a <= b, "ugt": a > b, "uge": a >= b,
-            "slt": a < b, "sle": a <= b, "sgt": a > b, "sge": a >= b,
-        }[op]
-        return 1 if result else 0
-
-    def _next_input(self) -> int:
-        if self.input_cursor < len(self.inputs):
-            value = self.inputs[self.input_cursor]
-            self.input_cursor += 1
-        else:
-            value = 0
-        self._event_input = value
-        return value
-
-    # -- control transfers ---------------------------------------------------
-
-    def _jump(self, thread: Thread, frame: Frame, target: str, inferable: bool) -> None:
-        src = frame.pc
-        block = self.module.function(frame.function).block(frame.block)
-        single_succ = len(block.successors()) == 1
-        frame.block = target
-        frame.index = 0
-        self.lbr.record(src, frame.pc, inferable=inferable and single_succ)
-
-    def _do_call(self, thread: Thread, frame: Frame, instr: CallInst) -> None:
-        args = [self._value(frame, a) for a in instr.args]
-        src = frame.pc
-        frame.index += 1  # return continues after the call
-        callee = self._make_frame(thread.tid, instr.callee, ret_dst=instr.dst)
-        func = self.module.function(instr.callee)
-        for param, value in zip(func.params, args):
-            callee.regs[param] = value
-        thread.frames.append(callee)
-        self.lbr.record(src, callee.pc, inferable=True)
-
-    def _do_ret(self, thread: Thread, frame: Frame, instr: RetInst) -> None:
-        value = self._value(frame, instr.value) if instr.value is not None else 0
-        src = frame.pc
-        if frame.frame_words:
-            self.memory.stack_pop(thread.tid, frame.frame_words)
-        thread.frames.pop()
-        if not thread.frames:
-            thread.status = ThreadStatus.FINISHED
-            thread.return_value = value
-            # Like pthreads, locks held by an exiting thread stay held; a
-            # resulting wedge surfaces naturally as a deadlock coredump.
-            if thread.tid == 0:
-                raise _ExitSignal(value)
-            return
-        caller = thread.top
-        ret_dst = frame.ret_dst
-        if ret_dst is not None:
-            caller.regs[ret_dst] = value
-        self.lbr.record(src, caller.pc, inferable=True)
-
-    # -- synchronization ---------------------------------------------------------
-
-    def _do_lock(self, thread: Thread, frame: Frame, instr: LockInst) -> bool:
-        """Returns True if acquired (advance), False if blocked."""
-        addr = self._value(frame, instr.addr)
-        owner = self.lock_owners.get(addr)
-        if owner is None:
-            self.lock_owners[addr] = thread.tid
-            thread.held_locks.append(addr)
-            self._mem_write(addr, 1)
-            self._event_lock_acq = addr
-            return True
-        if owner == thread.tid:
-            raise _TrapSignal(TrapKind.DEADLOCK, f"relock of {addr:#x}", addr)
-        thread.status = ThreadStatus.BLOCKED_LOCK
-        thread.blocked_on = addr
-        return False
-
-    def _do_unlock(self, thread: Thread, frame: Frame, instr: UnlockInst) -> None:
-        addr = self._value(frame, instr.addr)
-        if self.lock_owners.get(addr) != thread.tid:
-            raise _TrapSignal(TrapKind.UNLOCK_NOT_HELD, f"unlock of {addr:#x}", addr)
-        del self.lock_owners[addr]
-        thread.held_locks.remove(addr)
-        self._mem_write(addr, 0)
-        self._event_lock_rel = addr
+            frame.ip = ip
+            steps += 1
+            self.steps = steps
+            if raw is not None:
+                held = thread.held_locks
+                raw.append((steps, tid, pc, line, ev_reads, ev_writes,
+                            ev_la, ev_lr, tuple(held) if held else (),
+                            ev_in, ev_out))
+            return executed + 1, self._exited(exit_signal.code)
+        frame.ip = ip
+        self.steps = steps
+        return executed, None
 
     # ------------------------------------------------------------------
     # Terminal states

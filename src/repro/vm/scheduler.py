@@ -9,7 +9,7 @@ replay drives the VM directly and bypasses scheduling entirely.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class Scheduler:
@@ -83,38 +83,3 @@ class RandomPreemptScheduler(Scheduler):
             return self.pick(runnable, current)
         return current
 
-
-class FixedScheduler(Scheduler):
-    """Replay a fixed schedule: a list of ``(tid, instruction_count)`` legs.
-
-    When the script runs out the scheduler keeps the last thread running;
-    the replayer uses this to drive a synthesized suffix schedule.
-    """
-
-    def __init__(self, legs: Sequence[tuple]):
-        self.legs: List[tuple] = list(legs)
-        self._leg = 0
-        self._left = self.legs[0][1] if self.legs else 0
-
-    def _current_tid(self) -> Optional[int]:
-        if self._leg < len(self.legs):
-            return self.legs[self._leg][0]
-        return None
-
-    def pick(self, runnable: Sequence[int], current: Optional[int]) -> int:
-        tid = self._current_tid()
-        if tid is not None and tid in runnable:
-            return tid
-        return runnable[0]
-
-    def at_preemption_point(self, runnable, current, shared_effect):
-        while self._leg < len(self.legs) and self._left <= 0:
-            self._leg += 1
-            self._left = self.legs[self._leg][1] if self._leg < len(self.legs) else 0
-        tid = self._current_tid()
-        if tid is None:
-            return current if current in runnable else runnable[0]
-        self._left -= 1
-        if tid in runnable:
-            return tid
-        return current if current in runnable else runnable[0]

@@ -1,29 +1,23 @@
-"""Thread and frame state of the virtual machine."""
+"""Thread and frame state of the virtual machine.
+
+A live thread's frames are the VM's slot frames
+(:class:`~repro.vm.interpreter.BFrame`); :class:`Frame` is the form a
+frame takes in a coredump.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.ir.instructions import Reg
-
-
-@dataclass(frozen=True)
-class PC:
-    """A program counter: function, block label, instruction index."""
-
-    function: str
-    block: str
-    index: int
-
-    def __repr__(self) -> str:
-        return f"{self.function}:{self.block}[{self.index}]"
+from repro.ir.module import PC
 
 
 @dataclass
 class Frame:
-    """One activation record.
+    """One activation record, as a coredump holds it.
 
     Attributes:
         function: function name.
@@ -47,17 +41,6 @@ class Frame:
     def pc(self) -> PC:
         return PC(self.function, self.block, self.index)
 
-    def copy(self) -> "Frame":
-        return Frame(
-            function=self.function,
-            block=self.block,
-            index=self.index,
-            regs=dict(self.regs),
-            frame_base=self.frame_base,
-            frame_words=self.frame_words,
-            ret_dst=self.ret_dst,
-        )
-
 
 class ThreadStatus(Enum):
     RUNNABLE = "runnable"
@@ -68,10 +51,11 @@ class ThreadStatus(Enum):
 
 @dataclass
 class Thread:
-    """A guest thread: a stack of frames plus scheduling status."""
+    """A guest thread: a stack of slot frames (innermost last) plus
+    scheduling status."""
 
     tid: int
-    frames: List[Frame] = field(default_factory=list)
+    frames: List = field(default_factory=list)
     status: ThreadStatus = ThreadStatus.RUNNABLE
     blocked_on: Optional[int] = None  # lock address or joined tid
     held_locks: List[int] = field(default_factory=list)
@@ -79,7 +63,7 @@ class Thread:
     start_function: str = ""
 
     @property
-    def top(self) -> Frame:
+    def top(self):
         return self.frames[-1]
 
     @property
@@ -87,18 +71,3 @@ class Thread:
         if not self.frames:
             return None
         return self.top.pc
-
-    def call_stack(self) -> List[PC]:
-        """Innermost-last list of PCs (the coredump backtrace)."""
-        return [frame.pc for frame in self.frames]
-
-    def copy(self) -> "Thread":
-        return Thread(
-            tid=self.tid,
-            frames=[frame.copy() for frame in self.frames],
-            status=self.status,
-            blocked_on=self.blocked_on,
-            held_locks=list(self.held_locks),
-            return_value=self.return_value,
-            start_function=self.start_function,
-        )

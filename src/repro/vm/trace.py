@@ -10,7 +10,7 @@ shapes when analyzing *replayed* suffixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.vm.state import PC
@@ -42,17 +42,42 @@ class TraceEvent:
         return any(a.addr == addr for a in self.reads + self.writes)
 
 
-@dataclass
 class ExecutionTrace:
-    """Append-only log of trace events for one run."""
+    """Append-only log of trace events for one run.
 
-    events: List[TraceEvent] = field(default_factory=list)
+    The VM records each step as one plain tuple in :attr:`rows`, and
+    :class:`TraceEvent` objects are built only when something reads
+    :attr:`events` (root-cause analysis, the debugger, tests).  Replay
+    runs traced, but most replays are compatibility probes whose trace
+    nobody reads, so recording a step costs one tuple append.
+    """
 
-    def append(self, event: TraceEvent) -> None:
-        self.events.append(event)
+    def __init__(self):
+        #: ``(step, tid, pc, line, reads, writes, lock_acquired,
+        #: lock_released, locks_held, input_value, output_value)`` per
+        #: step, with reads and writes as ``(addr, value)`` pairs
+        self.rows: List[tuple] = []
+        self._events: List[TraceEvent] = []
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        events = self._events
+        rows = self.rows
+        if len(events) < len(rows):
+            for row in rows[len(events):]:
+                (step, tid, pc, line, reads, writes, lock_acq,
+                 lock_rel, locks_held, input_v, output_v) = row
+                events.append(TraceEvent(
+                    step=step, tid=tid, pc=pc, line=line,
+                    reads=tuple(MemAccess(a, v) for a, v in reads),
+                    writes=tuple(MemAccess(a, v) for a, v in writes),
+                    lock_acquired=lock_acq, lock_released=lock_rel,
+                    locks_held=locks_held, input_value=input_v,
+                    output_value=output_v))
+        return events
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.events)
@@ -62,6 +87,3 @@ class ExecutionTrace:
             if any(w.addr == addr for w in event.writes):
                 return event
         return None
-
-    def suffix(self, length: int) -> List[TraceEvent]:
-        return self.events[-length:] if length > 0 else []

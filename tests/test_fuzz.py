@@ -55,6 +55,16 @@ def test_generated_program_traps_as_armed(seed):
     assert result.coredump.trap.kind is gen.expected_trap
 
 
+def test_unfaulted_program_emits_a_verified_suffix():
+    """Program 5 traps out of bounds on an un-faulted dump: RES must
+    explain it, so the campaign's no-suffix oracle stays quiet."""
+    verdict = fuzz_one(5, CampaignConfig())
+    assert verdict.status == "ok"
+    assert not (verdict.hw_faulted or verdict.alu_faulted)
+    assert verdict.suffixes_emitted >= 1
+    assert verdict.divergences == []
+
+
 def test_generator_config_changes_shape():
     sequential = generate_program(3, GenConfig(threads_prob=0.0))
     assert not sequential.uses_threads

@@ -100,3 +100,29 @@ func main() {
     module, dump, deepest = synthesize_one(src=src, inputs=(), depth=20)
     report = SuffixReplayer(module).replay(deepest.suffix)
     assert report.ok
+
+
+def test_replay_verifies_suffixes_through_a_negative_initializer():
+    """The dump holds the canonical word of ``g = -2`` and so does every
+    replay, so the suffixes RES finds verify instead of failing on
+    registers that are equal modulo 2^64."""
+    module = compile_source("""
+global int g = -2;
+func main() {
+    int v = input();
+    int w = g | 0;
+    if (v > 3) {
+        w = w ^ v;
+    }
+    assert(w == 0, "w is not zero");
+    return 0;
+}
+""")
+    result = VM(module, inputs=[1]).run()
+    assert result.status is RunStatus.TRAPPED
+    res = ReverseExecutionSynthesizer(module, result.coredump,
+                                      RESConfig(max_depth=12))
+    suffixes = list(res.suffixes())
+    assert suffixes
+    assert res.stats.replays_attempted > 0
+    assert res.stats.replays_failed == 0

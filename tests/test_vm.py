@@ -1,5 +1,7 @@
 """Concrete VM semantics: arithmetic, memory, threads, traps, coredumps."""
 
+import json
+
 import pytest
 
 from repro.minic import compile_source
@@ -248,6 +250,46 @@ def test_coredump_json_roundtrip():
     assert clone.bounds_checked == dump.bounds_checked
     for tid in dump.threads:
         assert clone.threads[tid].frames == dump.threads[tid].frames
+
+
+NEGATIVE_GLOBAL = """
+global int g = -2;
+func main() {
+    int v = g | 0;
+    assert(v == 0, "g is not zero");
+    return 0;
+}
+"""
+
+
+def test_negative_initializer_is_a_canonical_word():
+    """``global int g = -2;`` is the word 2^64 - 2 from the start, in
+    memory and in every register that reads it."""
+    module = compile_source(NEGATIVE_GLOBAL)
+    dump = VM(module).run().coredump
+    word = (1 << 64) - 2
+    assert dump.memory[module.layout()["g"]] == word
+    v = module.function("main").var_regs["v"]
+    assert dump.failing_thread.frames[-1].regs[v] == word
+
+
+def test_coredump_loads_both_spellings_of_a_word_as_one_dump():
+    """A submitted dump may spell a word -2 or 2^64 - 2; both load as
+    the canonical word, so they are one dump with one fingerprint."""
+    module = compile_source(NEGATIVE_GLOBAL)
+    payload = json.loads(VM(module).run().coredump.to_json())
+    addr = str(module.layout()["g"])
+    reg = module.function("main").var_regs["v"].name
+    spellings = []
+    for value in (-2, (1 << 64) - 2):
+        payload["memory"][addr] = value
+        payload["threads"]["0"]["frames"][-1]["regs"][reg] = value
+        spellings.append(Coredump.from_json(json.dumps(payload)))
+    negative, canonical = spellings
+    assert negative.memory == canonical.memory
+    assert negative.memory[int(addr)] == (1 << 64) - 2
+    assert negative.threads[0].frames == canonical.threads[0].frames
+    assert negative.fingerprint() == canonical.fingerprint()
 
 
 def test_trace_records_reads_and_writes():
