@@ -5,7 +5,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 .PHONY: test perf triage-bench warm-bench serve-bench \
 	bucket-bench fleet-bench obs-bench serve-smoke fleet-smoke \
-	chaos-smoke obs-smoke fuzz-smoke fuzz-test fuzz-pinned
+	chaos-smoke obs-smoke fuzz-smoke fuzz-test fuzz-pinned bench-smoke
 
 # Tier-1 verification (fuzz- and perf-marked tests are deselected by
 # pytest.ini; run them via the targets below).
@@ -90,6 +90,19 @@ obs-smoke:
 # comparison (appends `obs_overhead` rows).
 obs-bench:
 	$(PYTHON) -m pytest benchmarks/test_p8_obs_overhead.py -q -m perf
+
+# Repository benchmark smoke (also a CI gate): every BENCHMARK.json
+# workload once, untraced, at seed 0.  run.py exits 0 even when a
+# workload's outputs are wrong, so the gate also needs the last line's
+# "correct": true.  Output lands in the git-ignored .perfbench/.
+bench-smoke:
+	mkdir -p .perfbench
+	$(PYTHON) perfbench/run.py --workload all --seed 0 --seconds 15 \
+		--trace 0 > .perfbench/bench-smoke.log; status=$$?; \
+		cat .perfbench/bench-smoke.log; test $$status -eq 0
+	tail -n 1 .perfbench/bench-smoke.log | grep -q '"correct": true' \
+		|| { echo 'bench-smoke: a workload produced wrong outputs' >&2; \
+		exit 1; }
 
 # The 1,000-program differential campaign with the fixed smoke seed:
 # incremental vs naive RES, replay, WP and cache-primed oracles, and

@@ -50,6 +50,7 @@ hierarchy from the same rows.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -342,6 +343,10 @@ def refine(items: Sequence) -> BucketRefinement:
 # Incremental refinement (the daemon's background rebucket engine)
 # ---------------------------------------------------------------------------
 
+#: marks a report id the refiner has not assigned yet
+_UNASSIGNED = object()
+
+
 @dataclass
 class _Family:
     """Mutable per-family state inside an :class:`IncrementalRefiner`."""
@@ -349,6 +354,8 @@ class _Family:
     leaves: set = field(default_factory=set)
     per_program: Dict[str, set] = field(default_factory=dict)
     members: List[str] = field(default_factory=list)
+    #: leaf bucket repr -> member report ids, sorted
+    by_leaf: Dict[str, List[str]] = field(default_factory=dict)
     conflicted: bool = False
     #: cached JSON hierarchy entry; ``None`` marks it stale.  Entries
     #: are rebuilt by *replacement*, never mutated in place, so a
@@ -359,26 +366,33 @@ class _Family:
 class IncrementalRefiner:
     """:func:`refine`, computed one verdict at a time.
 
-    The daemon settles verdicts continuously and serves the refined
-    hierarchy behind ``GET /buckets``; re-running the full split/merge
-    pass over all history per new verdict is O(history) each time and
+    The report store and ``GET /buckets`` show the refined buckets of
+    a verdict set that only grows; re-running the full split/merge pass
+    over all history per new verdict is O(history) each time and
     O(history²) over a daemon's life.  This class maintains the exact
     refinement state incrementally: :meth:`add` folds one verdict in —
     O(its family) amortized — and :meth:`refinement` resolves the few
     dirty fallback sites and returns a :class:`BucketRefinement` equal
-    (assignment, hierarchy, and stats) to ``refine(all items so far)``.
+    (assignment, hierarchy, and stats) to ``refine(all items so far)``
+    when report ids are unique.  :meth:`take_changed` then names the
+    report ids whose assignment changed, so a caller that keeps derived
+    views (the report store's encoded rows) updates only those.
 
     The equivalence argument mirrors the batch pass's own structure:
     family mergeability is *monotone* (leaf sets only grow, so a family
     can become conflicted but never un-conflict), and a fallback site's
     attachment depends only on its candidate-family set and their
     mergeability — both tracked here, with affected sites re-resolved
-    lazily.  ``tests/test_fleet.py`` re-proves equality against
-    :func:`refine` over shuffled insertion orders.
+    lazily.  An assignment therefore changes only when a family turns
+    conflicted (its members revert to their leaves) or when a fallback
+    site is re-resolved (its rows attach to or detach from a family).
+    ``tests/test_fleet.py`` re-proves equality against :func:`refine`
+    over shuffled insertion orders.
 
-    The returned view is valid until the next :meth:`add`; callers
-    must not mutate it (the daemon snapshots it into an immutable
-    payload memo).  Not thread-safe — the daemon serializes access.
+    Hierarchy entries are rebuilt by replacement, never mutated, so a
+    returned entry stays valid (and a caller may cache its encoding
+    keyed on the entry's identity); the assignment dict is live.  Not
+    thread-safe — the caller serializes access.
     """
 
     def __init__(self) -> None:
@@ -388,15 +402,27 @@ class IncrementalRefiner:
         #: (trap kind, crashing fn) → attachable fallback (rid, leaf)
         self._fallback_rows: Dict[Tuple[str, str],
                                   List[Tuple[str, Hashable]]] = {}
+        #: the same rows as leaf bucket repr → report ids, sorted
+        self._fallback_by_leaf: Dict[Tuple[str, str],
+                                     Dict[str, List[str]]] = {}
         #: current attach target per site (a mergeable sole candidate)
         self._site_target: Dict[Tuple[str, str], Optional[Tuple]] = {}
+        #: fallback rows of a site already assigned under its target
+        self._site_resolved: Dict[Tuple[str, str], int] = {}
         self._site_stats: Dict[Tuple[str, str], Tuple[int, int]] = {}
         self._dirty_sites: set = set()
         self._assignment: Dict[str, Hashable] = {}
         self._leaf_of: Dict[str, Hashable] = {}
+        #: report ids whose assignment changed since take_changed()
+        self._changed: set = set()
         self._attached = 0
         self._ambiguous = 0
         self._legacy = 0
+
+    def _assign(self, rid: str, bucket: Hashable) -> None:
+        if self._assignment.get(rid, _UNASSIGNED) != bucket:
+            self._assignment[rid] = bucket
+            self._changed.add(rid)
 
     def add(self, item) -> None:
         """Fold one verdict in (same duck type :func:`refine` takes)."""
@@ -404,7 +430,7 @@ class IncrementalRefiner:
         rid = result.report_id
         bucket = result.bucket
         self._leaf_of[rid] = bucket
-        self._assignment[rid] = bucket
+        self._assign(rid, bucket)
         if _is_annotated(bucket):
             return  # developer feedback outranks refinement
         if result.cause is not None:
@@ -419,6 +445,7 @@ class IncrementalRefiner:
                 self._site_candidates.setdefault(site, set()).add(fam)
                 self._dirty_sites.add(site)
             family.members.append(rid)
+            bisect.insort(family.by_leaf.setdefault(repr(bucket), []), rid)
             family.leaves.add(bucket)
             family.entry = None
             program = getattr(item, "program_key", "")
@@ -429,15 +456,17 @@ class IncrementalRefiner:
                 # is refused from now on (monotone — it never untrips).
                 family.conflicted = True
                 for member in family.members:
-                    self._assignment[member] = self._leaf_of[member]
+                    self._assign(member, self._leaf_of[member])
                 self._dirty_sites.add(site)
             elif not family.conflicted:
-                self._assignment[rid] = ("family",) + fam
+                self._assign(rid, ("family",) + fam)
             return
         site_info = _fallback_site(bucket)
         if site_info is not None and site_info[2]:
             site = (site_info[0], site_info[1])
             self._fallback_rows.setdefault(site, []).append((rid, bucket))
+            bisect.insort(self._fallback_by_leaf.setdefault(site, {})
+                          .setdefault(repr(bucket), []), rid)
             self._dirty_sites.add(site)
 
     def _resolve_site(self, site: Tuple[str, str]) -> None:
@@ -447,44 +476,51 @@ class IncrementalRefiner:
             sole = next(iter(candidates))
             if not self._fams[sole].conflicted:
                 target = sole
-        rows = self._fallback_rows.get(site, ())
-        attached = ambiguous = 0
-        for rid, leaf in rows:
-            if target is not None:
-                self._assignment[rid] = ("family",) + target
-                attached += 1
-            else:
-                self._assignment[rid] = leaf
-                if candidates:
-                    ambiguous += 1
+        rows = self._fallback_rows.get(site, [])
+        old_target = self._site_target.get(site)
+        # Under an unchanged target only the rows added since the last
+        # resolution need an assignment.
+        start = self._site_resolved.get(site, 0) \
+            if target == old_target else 0
+        for rid, leaf in rows[start:]:
+            self._assign(rid, leaf if target is None
+                         else ("family",) + target)
+        self._site_resolved[site] = len(rows)
+        attached = len(rows) if target is not None else 0
+        ambiguous = len(rows) if target is None and candidates else 0
         old_attached, old_ambiguous = self._site_stats.get(site, (0, 0))
         self._attached += attached - old_attached
         self._ambiguous += ambiguous - old_ambiguous
         self._site_stats[site] = (attached, ambiguous)
-        old_target = self._site_target.get(site)
         self._site_target[site] = target
         # Attached members are part of the hierarchy entry: stale both
         # the family that lost them and the one that gained them.
-        for fam in (old_target, target):
-            if fam is not None:
-                self._fams[fam].entry = None
+        if target != old_target:
+            for fam in (old_target, target):
+                if fam is not None:
+                    self._fams[fam].entry = None
+        elif target is not None and start < len(rows):
+            self._fams[target].entry = None
 
     def _build_entry(self, fam: Tuple, family: _Family) -> dict:
-        ids = list(family.members)
-        if self._site_target.get((fam[2], fam[3])) == fam:
-            ids.extend(rid for rid, __ in
-                       self._fallback_rows.get((fam[2], fam[3]), ()))
+        site = (fam[2], fam[3])
+        groups = [family.by_leaf]
+        reports = len(family.members)
+        if self._site_target.get(site) == fam:
+            groups.append(self._fallback_by_leaf.get(site, {}))
+            reports += len(self._fallback_rows.get(site, ()))
         leaves: Dict[str, List[str]] = {}
-        for rid in ids:
-            leaves.setdefault(repr(self._leaf_of[rid]), []).append(rid)
+        for group in groups:
+            for leaf, ids in group.items():
+                leaves[leaf] = sorted(leaves[leaf] + ids) \
+                    if leaf in leaves else list(ids)
         return {
             "cause_kind": fam[1],
             "trap_kind": fam[2],
             "function": fam[3],
             "skeleton": fam[4],
-            "reports": len(ids),
-            "leaves": {leaf: sorted(members)
-                       for leaf, members in sorted(leaves.items())},
+            "reports": reports,
+            "leaves": {leaf: leaves[leaf] for leaf in sorted(leaves)},
         }
 
     def refinement(self) -> BucketRefinement:
@@ -514,3 +550,10 @@ class IncrementalRefiner:
         }
         return BucketRefinement(assignment=self._assignment,
                                 hierarchy=hierarchy, stats=stats)
+
+    def take_changed(self) -> set:
+        """The report ids whose assignment changed since the last call
+        (new ids included).  Call it after :meth:`refinement`, which
+        resolves the pending fallback sites."""
+        changed, self._changed = self._changed, set()
+        return changed

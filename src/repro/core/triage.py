@@ -239,6 +239,95 @@ class TriageEngine:
         return self.solver.import_component_cache(snapshot)
 
 
+class BucketAgreement:
+    """Contingency counts behind the two §3.1 accuracy metrics.
+
+    A report enters with its bucket and its true cause.  Every labeled
+    report counts toward :meth:`misbucketed_fraction`; the ``paired``
+    ones also count toward :meth:`bucket_accuracy`.  Adding or removing
+    a report costs O(1), so a store that re-buckets a few reports per
+    write re-scores in O(changes) instead of re-counting O(k²) pairs.
+    Both metrics come out of exact integer counts, so they equal the
+    pair-by-pair and report-by-report definitions to the last bit.
+    """
+
+    def __init__(self) -> None:
+        #: true cause -> bucket -> labeled reports
+        self._by_cause: Dict[str, Dict[Hashable, int]] = {}
+        self._labeled = 0
+        #: paired reports per bucket, per cause, per (bucket, cause)
+        self._paired = 0
+        self._per_bucket: Dict[Hashable, int] = {}
+        self._per_cause: Dict[str, int] = {}
+        self._per_cell: Dict[Tuple[Hashable, str], int] = {}
+        #: report pairs sharing a bucket, a cause, and both
+        self._same_bucket = 0
+        self._same_cause = 0
+        self._same_both = 0
+
+    def add(self, bucket: Hashable, cause: str, paired: bool = True) -> None:
+        counts = self._by_cause.setdefault(cause, {})
+        counts[bucket] = counts.get(bucket, 0) + 1
+        self._labeled += 1
+        if paired:
+            self._paired += 1
+            self._same_bucket += _bump(self._per_bucket, bucket, 1)
+            self._same_cause += _bump(self._per_cause, cause, 1)
+            self._same_both += _bump(self._per_cell, (bucket, cause), 1)
+
+    def remove(self, bucket: Hashable, cause: str,
+               paired: bool = True) -> None:
+        _bump(self._by_cause[cause], bucket, -1)
+        if not self._by_cause[cause]:
+            del self._by_cause[cause]
+        self._labeled -= 1
+        if paired:
+            self._paired -= 1
+            self._same_bucket -= _bump(self._per_bucket, bucket, -1)
+            self._same_cause -= _bump(self._per_cause, cause, -1)
+            self._same_both -= _bump(self._per_cell, (bucket, cause), -1)
+
+    def bucket_accuracy(self) -> float:
+        """The Rand index over the paired reports (1.0 below two)."""
+        if self._paired < 2:
+            return 1.0
+        total = self._paired * (self._paired - 1) // 2
+        # A pair agrees when it shares both bucket and cause, or
+        # neither: total - same_bucket - same_cause + same_both pairs
+        # share neither.
+        agree = (total - self._same_bucket - self._same_cause
+                 + 2 * self._same_both)
+        return agree / total
+
+    def misbucketed_fraction(self) -> float:
+        """Labeled reports outside their true cause's majority bucket."""
+        if not self._labeled:
+            return 0.0
+        # Majority election with a stable tie-break: ``max(...,
+        # key=get)`` alone resolves ties by dict insertion order, i.e.
+        # by whichever shard happened to land first — the same corpus
+        # could score differently across orderings.  Ties break by
+        # (count, bucket repr).
+        wrong = 0
+        for counts in self._by_cause.values():
+            majority = min(counts, key=lambda b: (-counts[b], repr(b)))
+            wrong += sum(counts.values()) - counts[majority]
+        return wrong / self._labeled
+
+
+def _bump(counts: Dict, key: Hashable, delta: int) -> int:
+    """Add ``delta`` (+1 or -1) to ``counts[key]``, dropping zeros;
+    returns how many pairs the moved report forms with the others under
+    that key."""
+    before = counts.get(key, 0)
+    after = before + delta
+    if after:
+        counts[key] = after
+    else:
+        del counts[key]
+    return before if delta > 0 else after
+
+
 def bucket_accuracy(results: List[TriageResult],
                     reports: List[BugReport],
                     exclude: Optional[set] = None) -> float:
@@ -247,6 +336,8 @@ def bucket_accuracy(results: List[TriageResult],
     Pair-counting accuracy (Rand index): for every pair of reports,
     "same bucket" should equal "same true cause".  This is the metric
     WER-style bucketing gets wrong for up to 37% of reports (§3.1).
+    Counted from bucket x cause contingency counts
+    (:class:`BucketAgreement`), not pair by pair.
 
     Unlabeled reports (``true_cause=None``) carry no ground truth, so
     they contribute no pairs: counting them would treat two unknowns as
@@ -260,22 +351,12 @@ def bucket_accuracy(results: List[TriageResult],
     """
     truth = {r.report_id: r.true_cause for r in reports}
     exclude = exclude or set()
-    items = [(res.report_id, res.bucket) for res in results
-             if truth.get(res.report_id) is not None
-             and res.report_id not in exclude]
-    if len(items) < 2:
-        return 1.0
-    agree = total = 0
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            id_a, bucket_a = items[i]
-            id_b, bucket_b = items[j]
-            same_bucket = bucket_a == bucket_b
-            same_cause = truth[id_a] == truth[id_b]
-            total += 1
-            if same_bucket == same_cause:
-                agree += 1
-    return agree / total
+    counts = BucketAgreement()
+    for res in results:
+        cause = truth.get(res.report_id)
+        if cause is not None and res.report_id not in exclude:
+            counts.add(res.bucket, cause)
+    return counts.bucket_accuracy()
 
 
 def misbucketed_fraction(results: List[TriageResult],
@@ -290,21 +371,9 @@ def misbucketed_fraction(results: List[TriageResult],
     and skew the fraction both ways.
     """
     truth = {r.report_id: r.true_cause for r in reports}
-    labeled = [res for res in results
-               if truth.get(res.report_id) is not None]
-    by_cause: Dict[str, Dict[Hashable, int]] = {}
-    for res in labeled:
-        cause = truth[res.report_id]
-        by_cause.setdefault(cause, {})
-        by_cause[cause][res.bucket] = by_cause[cause].get(res.bucket, 0) + 1
-    # Majority election with a stable tie-break: ``max(..., key=get)``
-    # alone resolves ties by dict insertion order, i.e. by whichever
-    # shard happened to land first — the same corpus could score
-    # differently across orderings.  Ties break by (count, bucket repr).
-    majority = {cause: min(buckets,
-                           key=lambda b, counts=buckets:
-                           (-counts[b], repr(b)))
-                for cause, buckets in by_cause.items()}
-    wrong = sum(1 for res in labeled
-                if res.bucket != majority[truth[res.report_id]])
-    return wrong / len(labeled) if labeled else 0.0
+    counts = BucketAgreement()
+    for res in results:
+        cause = truth.get(res.report_id)
+        if cause is not None:
+            counts.add(res.bucket, cause, paired=False)
+    return counts.misbucketed_fraction()

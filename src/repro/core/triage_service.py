@@ -46,7 +46,9 @@ the run, not the verdicts).
 
 from __future__ import annotations
 
+import bisect
 import json
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,9 +57,13 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 from repro import faultinject
 from repro import obs
 from repro.errors import ReproError
-from repro.ioutil import atomic_write_json
+from repro.ioutil import atomic_write_json, atomic_write_text
 from repro.minic import compile_source
-from repro.core.bucketing import BucketRefinement, refine
+from repro.core.bucketing import (
+    BucketRefinement,
+    IncrementalRefiner,
+    refine,
+)
 from repro.symex.solver import Solver
 from repro.vm.coredump import Coredump
 from repro.core.res import RESConfig
@@ -69,6 +75,7 @@ from repro.core.rescache import (
     res_config_fingerprint,
 )
 from repro.core.triage import (
+    BucketAgreement,
     BugReport,
     TriageAnnotation,
     TriageEngine,
@@ -412,7 +419,8 @@ def triage_corpus(corpus: TriageCorpus,
     """
     config = config or TriageServiceConfig()
     started = time.perf_counter()
-    store = TriageStore(config) if config.store_path else None
+    store = TriageStore(config, StoreView(config, corpus)) \
+        if config.store_path else None
     chain = config.cache_chain()
     config_fp = config.config_fingerprint() if chain.enabled else ""
     module_fps: Dict[str, str] = {
@@ -503,8 +511,14 @@ def triage_corpus(corpus: TriageCorpus,
     interrupted = False
     solver_exports: Dict[str, Optional[dict]] = {}
 
-    for index, item in cached_slots.items():
+    def keep(index: int, item: TriagedReport) -> None:
         slots[index] = item
+        if store is not None:
+            store.view.add(index, item,
+                           corpus.entries[index].report.true_cause)
+
+    for index, item in cached_slots.items():
+        keep(index, item)
     if cached_slots and progress is not None:
         progress([cached_slots[index] for index in sorted(cached_slots)])
 
@@ -519,7 +533,7 @@ def triage_corpus(corpus: TriageCorpus,
                                  program_key=entry.program_key,
                                  fingerprint=fingerprints[index],
                                  seconds=seconds)
-            slots[index] = item
+            keep(index, item)
             landed.append(item)
             if chain.primary is not None:
                 # Durable append as results land: an interrupted run
@@ -542,8 +556,8 @@ def triage_corpus(corpus: TriageCorpus,
         if progress is not None:
             progress(landed)
         if store is not None and finished_groups % config.flush_every == 0:
-            store.flush(_partial_result(slots, corpus, started),
-                        corpus, complete=False)
+            store.flush(complete=False, interrupted=False,
+                        elapsed=time.perf_counter() - started)
 
     if config.jobs > 1 and len(work) > 1:
         import multiprocessing as mp
@@ -583,7 +597,7 @@ def triage_corpus(corpus: TriageCorpus,
             continue  # representative never landed (interrupted run)
         entry = corpus.entries[index]
         result = rep.result
-        slots[index] = TriagedReport(
+        keep(index, TriagedReport(
             result=TriageResult(report_id=entry.report.report_id,
                                 bucket=result.bucket,
                                 cause=result.cause,
@@ -592,7 +606,7 @@ def triage_corpus(corpus: TriageCorpus,
             program_key=entry.program_key,
             fingerprint=fingerprints[index],
             seconds=0.0,
-            dedup_of=result.report_id)
+            dedup_of=result.report_id))
         copies.append(slots[index])
     if copies and progress is not None:
         progress(copies)
@@ -614,7 +628,8 @@ def triage_corpus(corpus: TriageCorpus,
     result = _partial_result(slots, corpus, started)
     result.interrupted = interrupted
     if store is not None:
-        store.flush(result, corpus, complete=not interrupted)
+        store.flush(complete=not interrupted, interrupted=interrupted,
+                    elapsed=result.elapsed)
     return result
 
 
@@ -820,18 +835,389 @@ def _partial_result(slots: Sequence[Optional[TriagedReport]],
 # ---------------------------------------------------------------------------
 
 class TriageStore:
-    """Serializes a service run into the on-disk JSON report store
-    (shared by the batch driver and the intake daemon)."""
+    """The on-disk JSON report store — the one writer the batch driver
+    and the intake daemon share.
 
-    def __init__(self, config: TriageServiceConfig):
+    :meth:`flush` renders the store's :class:`StoreView` and atomically
+    rewrites the file with it (temp file, fsync, rename), so readers see
+    either the previous document or the new one.  The view re-encodes
+    only what changed since the previous write, so a write costs the
+    changed rows plus one join of cached text, not a rebuild of the
+    history; the document is byte-identical to the :func:`store_payload`
+    reference over the same verdicts.
+    """
+
+    def __init__(self, config: TriageServiceConfig, view: "StoreView"):
         self.path = Path(config.store_path)
-        self.config = config
+        self.view = view
+        #: write attempts (failed ones included) and their seconds
+        self.writes = 0
+        self.write_seconds = 0.0
 
-    def flush(self, result: TriageServiceResult, corpus: TriageCorpus,
-              complete: bool) -> None:
-        atomic_write_json(self.path,
-                          store_payload(result, corpus, self.config,
-                                        complete=complete))
+    def flush(self, complete: bool, interrupted: bool,
+              elapsed: float) -> None:
+        started = time.perf_counter()
+        try:
+            text = self.view.render(complete=complete,
+                                    interrupted=interrupted,
+                                    elapsed=elapsed)
+            atomic_write_text(self.path, text)
+        finally:
+            self.writes += 1
+            self.write_seconds += time.perf_counter() - started
+
+
+class _Row:
+    """One store row: a settled verdict at its order key."""
+
+    __slots__ = ("key", "item", "truth", "id_json", "raw", "bucket",
+                 "name", "paired", "text")
+
+    def __init__(self, key, item: TriagedReport, truth: Optional[str]):
+        self.key = key
+        self.item = item
+        self.truth = truth
+        self.id_json = json.dumps(item.result.report_id)
+        self.raw = repr(item.result.bucket)
+        #: refined bucket and its repr; None until first placed
+        self.bucket: Hashable = None
+        self.name: Optional[str] = None
+        #: scored by the pair-counting accuracy (labeled, and not a
+        #: dedup child, which would double-count its representative)
+        self.paired = truth is not None and item.dedup_of is None
+        #: encoded row; None while stale
+        self.text: Optional[str] = None
+
+
+class _Members:
+    """The rows filed under one bucket, in row order, with the encoded
+    ``"bucket": [ids]`` member cached until the membership changes."""
+
+    __slots__ = ("head", "keys", "rows", "text")
+
+    def __init__(self, name: str):
+        self.head = json.dumps(name) + ": "
+        self.keys: list = []
+        self.rows: List[_Row] = []
+        self.text: Optional[str] = None
+
+    def insert(self, row: _Row) -> None:
+        index = bisect.bisect(self.keys, row.key)
+        self.keys.insert(index, row.key)
+        self.rows.insert(index, row)
+        self.text = None
+
+    def remove(self, row: _Row) -> None:
+        index = bisect.bisect_left(self.keys, row.key)
+        del self.keys[index]
+        del self.rows[index]
+        self.text = None
+
+    def ids(self) -> List[str]:
+        return [row.item.result.report_id for row in self.rows]
+
+    def encoded(self) -> str:
+        if self.text is None:
+            self.text = self.head + _dump_array(
+                [row.id_json for row in self.rows], 2)
+        return self.text
+
+
+class StoreView:
+    """The report-store document over a growing set of settled
+    verdicts, kept current one verdict at a time.
+
+    :meth:`add` inserts a verdict as the row at its order key (the
+    daemon's :attr:`IntakeJob.order_key`, the batch driver's corpus
+    index), so rows keep submission order without sorting the history.
+    Refined buckets come from an :class:`IncrementalRefiner`; after
+    each read it names the report ids whose assignment changed (a
+    family turned conflicted, or a fallback site was re-resolved), and
+    only those rows move between buckets and re-encode.  The view
+    caches the encoded text of every row, of every bucket's id list and
+    of every family's hierarchy entry, and keeps the accuracy metrics
+    as :class:`BucketAgreement` counts, so :meth:`render` costs the
+    changed rows and the buckets and families they touch plus one join
+    — and returns exactly ``json.dumps(store_payload(...), indent=1,
+    sort_keys=True) + "\n"`` over the same rows.  A batch view scores
+    and counts against its whole ``corpus``; without one (the daemon),
+    the rows are the corpus.
+
+    Report ids are unique in every corpus this repository builds; if
+    two rows share one (a client re-using an id), the store document
+    of such rows is defined only by the :func:`store_payload`
+    reference, and :meth:`render` returns that instead.
+
+    Every method takes :attr:`lock` (re-entrant: a caller may hold it
+    across an ``add`` and a render, as the daemon's store write does).
+    """
+
+    def __init__(self, config: TriageServiceConfig,
+                 corpus: Optional[TriageCorpus] = None):
+        self.lock = threading.RLock()
+        self.config = config
+        self._corpus = corpus
+        self._corpus_counts = None if corpus is None else {
+            "entries": len(corpus.entries),
+            "programs": len(corpus.programs),
+            "labeled": corpus.labeled_count(),
+        }
+        self._config_text = _dump(_config_section(config), 1)
+        self._refiner = IncrementalRefiner()
+        self._keys: list = []
+        self._rows: List[_Row] = []
+        self._by_id: Dict[str, List[_Row]] = {}
+        #: rows added since the last settle, not yet in a bucket
+        self._new: List[_Row] = []
+        #: rows whose text went stale since the last render
+        self._stale: List[_Row] = []
+        self._buckets: Dict[str, _Members] = {}
+        self._bucket_names: List[str] = []  # sorted keys of _buckets
+        self._raw_buckets: Dict[str, _Members] = {}
+        #: hierarchy key -> (entry, its encoded member)
+        self._entries: Dict[str, Tuple[dict, str]] = {}
+        self._agreement = BucketAgreement()
+        self._programs: set = set()
+        self._labeled = 0
+        self._triaged = 0
+        self._dedup_hits = 0
+        self._cache_hits = 0
+        self._duplicate_ids = False
+        #: rows encoded by render() so far (the cost of the writes)
+        self.rows_encoded = 0
+
+    def add(self, key, item: TriagedReport, truth: Optional[str]) -> None:
+        """Fold one settled verdict in as the row at ``key``; ``truth``
+        is its ground-truth label (None when unlabeled)."""
+        with self.lock:
+            row = _Row(key, item, truth)
+            same_id = self._by_id.setdefault(item.result.report_id, [])
+            self._duplicate_ids = self._duplicate_ids or bool(same_id)
+            same_id.append(row)
+            index = bisect.bisect(self._keys, key)
+            self._keys.insert(index, key)
+            self._rows.insert(index, row)
+            self._refiner.add(item)
+            self._new.append(row)
+            raw = self._raw_buckets.get(row.raw)
+            if raw is None:
+                raw = self._raw_buckets[row.raw] = _Members(row.raw)
+            raw.insert(row)
+            self._programs.add(item.program_key)
+            self._labeled += truth is not None
+            self._dedup_hits += item.dedup_of is not None
+            self._cache_hits += item.cached
+            self._triaged += item.dedup_of is None and not item.cached
+
+    def _settle(self) -> BucketRefinement:
+        """File every row under its current refined bucket: the rows
+        added since the last settle, and the rows of every report id
+        whose assignment changed."""
+        refinement = self._refiner.refinement()
+        assignment = refinement.assignment
+        for row in self._new:
+            self._place(row, assignment[row.item.result.report_id])
+        self._new = []
+        for rid in self._refiner.take_changed():
+            for row in self._by_id[rid]:
+                self._place(row, assignment[rid])
+        return refinement
+
+    def _place(self, row: _Row, bucket: Hashable) -> None:
+        if row.bucket == bucket:
+            return
+        if row.name is None or row.text is not None:
+            self._stale.append(row)  # once per encoding it awaits
+        if row.name is not None:
+            members = self._buckets[row.name]
+            members.remove(row)
+            if not members.rows:
+                del self._buckets[row.name]
+                del self._bucket_names[
+                    bisect.bisect_left(self._bucket_names, row.name)]
+            if row.truth is not None:
+                self._agreement.remove(row.bucket, row.truth, row.paired)
+        row.bucket = bucket
+        row.name = repr(bucket)
+        members = self._buckets.get(row.name)
+        if members is None:
+            members = self._buckets[row.name] = _Members(row.name)
+            bisect.insort(self._bucket_names, row.name)
+        members.insert(row)
+        if row.truth is not None:
+            self._agreement.add(bucket, row.truth, row.paired)
+        row.text = None
+
+    def render(self, complete: bool, interrupted: bool,
+               elapsed: float) -> str:
+        """The store document over every row added so far."""
+        with self.lock:
+            refinement = self._settle()
+            stale, self._stale = self._stale, []
+            if self._duplicate_ids:
+                return self._render_reference(complete, interrupted,
+                                              elapsed)
+            for row in stale:
+                row.text = _dump(_store_row(row.item, row.name), 2)
+            self.rows_encoded += len(stale)
+            entries: Dict[str, Tuple[dict, str]] = {}
+            for name in sorted(refinement.hierarchy):
+                entry = refinement.hierarchy[name]
+                cached = self._entries.get(name)
+                if cached is None or cached[0] is not entry:
+                    cached = (entry,
+                              f"{json.dumps(name)}: {_dump(entry, 3)}")
+                entries[name] = cached
+            self._entries = entries
+            bucketing = _dump_object([
+                '"hierarchy": ' + _dump_object(
+                    [text for __, text in entries.values()], 2),
+                '"stats": ' + _dump(refinement.stats, 2),
+            ], 1)
+            counts = self._corpus_counts or {
+                "entries": len(self._rows),
+                "programs": len(self._programs),
+                "labeled": self._labeled,
+            }
+            members = []
+            if counts["labeled"] >= 2 and self._rows:
+                members.append('"accuracy": ' + _dump({
+                    "bucket_accuracy":
+                        round(self._agreement.bucket_accuracy(), 4),
+                    "misbucketed_fraction":
+                        round(self._agreement.misbucketed_fraction(), 4),
+                }, 1))
+            members += [
+                '"bucketing": ' + bucketing,
+                '"buckets": ' + _dump_object(
+                    [self._buckets[name].encoded()
+                     for name in self._bucket_names], 1),
+                '"complete": ' + json.dumps(complete),
+                '"config": ' + self._config_text,
+                '"corpus": ' + _dump(counts, 1),
+                '"interrupted": ' + json.dumps(interrupted),
+                '"results": ' + _dump_array(
+                    [row.text for row in self._rows], 1),
+                '"timing": ' + _dump(_timing_section(
+                    elapsed, len(self._rows), self._triaged,
+                    self._dedup_hits, self._cache_hits), 1),
+            ]
+            return _dump_object(members, 0) + "\n"
+
+    def _render_reference(self, complete: bool, interrupted: bool,
+                          elapsed: float) -> str:
+        """:func:`store_payload` over the rows, encoded whole."""
+        corpus = self._corpus or TriageCorpus(
+            programs=dict.fromkeys(self._programs),
+            entries=[CorpusEntry(
+                report=BugReport(report_id=row.item.result.report_id,
+                                 coredump=None, true_cause=row.truth),
+                program_key=row.item.program_key) for row in self._rows])
+        result = TriageServiceResult(
+            reports=[row.item for row in self._rows], elapsed=elapsed,
+            triaged=self._triaged, dedup_hits=self._dedup_hits,
+            cache_hits=self._cache_hits, interrupted=interrupted)
+        self.rows_encoded += len(self._rows)
+        return json.dumps(store_payload(result, corpus, self.config,
+                                        complete=complete),
+                          indent=1, sort_keys=True) + "\n"
+
+    def buckets_payload(self) -> dict:
+        """The ``GET /buckets`` document: refined and raw buckets (ids
+        in row order), the family hierarchy, and the pass stats."""
+        with self.lock:
+            refinement = self._settle()
+            return {
+                "buckets": {name: members.ids()
+                            for name, members in self._buckets.items()},
+                "raw_buckets": {name: members.ids() for name, members
+                                in self._raw_buckets.items()},
+                "hierarchy": refinement.hierarchy,
+                "stats": refinement.stats,
+            }
+
+
+def _dump(value, level: int) -> str:
+    """``value`` as ``json.dumps(indent=1, sort_keys=True)`` writes it
+    nested ``level`` deep (dict keys are strings).  ``indent`` turns off
+    the C encoder, so this walks containers itself and hands each
+    scalar, and each list of scalars with the indented separator, to
+    the C encoder."""
+    if isinstance(value, dict):
+        return _dump_object(
+            [f"{json.dumps(key)}: {_dump(value[key], level + 1)}"
+             for key in sorted(value)], level)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if not set(map(type, value)) <= _SCALARS:
+            return _dump_array([_dump(item, level + 1) for item in value],
+                               level)
+        pad = "\n" + " " * (level + 1)
+        inner = json.dumps(value, separators=("," + pad, ": "))[1:-1]
+        return f"[{pad}{inner}\n{' ' * level}]"
+    return json.dumps(value)
+
+
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _dump_object(members: List[str], level: int) -> str:
+    """An object at ``level`` from encoded ``"key": value`` members,
+    already in key order."""
+    return _enclose("{", members, "}", level)
+
+
+def _dump_array(items: List[str], level: int) -> str:
+    """An array at ``level`` from encoded items."""
+    return _enclose("[", items, "]", level)
+
+
+def _enclose(opener: str, items: List[str], closer: str,
+             level: int) -> str:
+    if not items:
+        return opener + closer
+    pad = "\n" + " " * (level + 1)
+    return f"{opener}{pad}{(',' + pad).join(items)}\n{' ' * level}{closer}"
+
+
+def _store_row(item: TriagedReport, bucket: str) -> dict:
+    """One ``results`` row: ``bucket`` is the refined bucket's repr."""
+    result = item.result
+    return {
+        "report_id": result.report_id,
+        "program": item.program_key,
+        "bucket": bucket,
+        "raw_bucket": repr(result.bucket),
+        "cause_kind": result.cause.kind if result.cause else None,
+        "used_fallback": result.used_fallback,
+        "exploitable": result.exploitable,
+        "fingerprint": item.fingerprint,
+        "seconds": round(item.seconds, 4),
+        "dedup_of": item.dedup_of,
+        "cached": item.cached,
+    }
+
+
+def _config_section(config: TriageServiceConfig) -> dict:
+    return {
+        "jobs": config.jobs,
+        "max_depth": config.max_depth,
+        "max_nodes": config.max_nodes,
+        "stack_depth": config.stack_depth,
+        "incremental": config.incremental,
+    }
+
+
+def _timing_section(elapsed: float, reports: int, triaged: int,
+                    dedup_hits: int, cache_hits: int) -> dict:
+    return {
+        "elapsed": round(elapsed, 4),
+        "triaged": triaged,
+        "dedup_hits": dedup_hits,
+        "cache_hits": cache_hits,
+        "reports_per_sec": round(reports / elapsed if elapsed else 0.0, 3),
+    }
 
 
 def refined_results(reports: Sequence[TriagedReport]
@@ -859,39 +1245,23 @@ def store_payload(result: TriageServiceResult, corpus: TriageCorpus,
                   config: TriageServiceConfig, complete: bool) -> dict:
     """The report-store document: refined buckets → report ids,
     per-report rows (refined + raw leaf bucket), the bucket hierarchy,
-    accuracy vs. ground truth (labeled subset only), and timing."""
+    accuracy vs. ground truth (labeled subset only), and timing.
+
+    The reference definition: it rebuilds everything from all rows
+    (O(history)).  :class:`StoreView` renders the same bytes
+    incrementally and is what :class:`TriageStore` writes."""
     refined, refinement = refined_results(result.reports)
     refined_by_id = {res.report_id: res for res in refined}
     buckets: Dict[str, List[str]] = {}
     for res in refined:
         buckets.setdefault(repr(res.bucket), []).append(res.report_id)
-    rows = [
-        {
-            "report_id": item.result.report_id,
-            "program": item.program_key,
-            "bucket": repr(refined_by_id[item.result.report_id].bucket),
-            "raw_bucket": repr(item.result.bucket),
-            "cause_kind": item.result.cause.kind
-            if item.result.cause else None,
-            "used_fallback": item.result.used_fallback,
-            "exploitable": item.result.exploitable,
-            "fingerprint": item.fingerprint,
-            "seconds": round(item.seconds, 4),
-            "dedup_of": item.dedup_of,
-            "cached": item.cached,
-        }
-        for item in result.reports
-    ]
+    rows = [_store_row(item,
+                       repr(refined_by_id[item.result.report_id].bucket))
+            for item in result.reports]
     payload = {
         "complete": complete,
         "interrupted": result.interrupted,
-        "config": {
-            "jobs": config.jobs,
-            "max_depth": config.max_depth,
-            "max_nodes": config.max_nodes,
-            "stack_depth": config.stack_depth,
-            "incremental": config.incremental,
-        },
+        "config": _config_section(config),
         "corpus": {
             "entries": len(corpus.entries),
             "programs": len(corpus.programs),
@@ -899,13 +1269,9 @@ def store_payload(result: TriageServiceResult, corpus: TriageCorpus,
         },
         "buckets": buckets,
         "results": rows,
-        "timing": {
-            "elapsed": round(result.elapsed, 4),
-            "triaged": result.triaged,
-            "dedup_hits": result.dedup_hits,
-            "cache_hits": result.cache_hits,
-            "reports_per_sec": round(result.throughput(), 3),
-        },
+        "timing": _timing_section(result.elapsed, len(result.reports),
+                                  result.triaged, result.dedup_hits,
+                                  result.cache_hits),
         "bucketing": {
             "hierarchy": refinement.hierarchy,
             "stats": refinement.stats,

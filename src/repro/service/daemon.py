@@ -67,15 +67,12 @@ from repro import obs
 from repro.errors import ReproError
 from repro.faultinject import WorkerCrashError
 from repro.vm.coredump import Coredump
-from repro.core.bucketing import IncrementalRefiner
 from repro.core.triage import TriageResult
 from repro.core.triage_service import (
-    CorpusEntry,
     ProgramSpec,
-    TriageCorpus,
+    StoreView,
     TriagedReport,
     TriageServiceConfig,
-    TriageServiceResult,
     TriageStore,
 )
 from repro.service import workerpool
@@ -307,7 +304,12 @@ class TriageDaemon:
         #: flight-recorder sink — construction is cheap (a Path and a
         #: lock); nothing is written unless a sampled job emits spans
         self._span_ring = obs.SpanRing(self.config.spans_path)
-        self._store = TriageStore(self.service_config) \
+        #: the settled DONE verdicts as the report-store document, in
+        #: submission order: the store writes it, ``GET /buckets``
+        #: reads it.  Lock order: _flush_lock, then the view's lock,
+        #: then _cv; nothing takes the view's lock while holding _cv.
+        self._view = StoreView(self.service_config)
+        self._store = TriageStore(self.service_config, self._view) \
             if self.service_config.store_path else None
 
         self._cv = threading.Condition()
@@ -356,20 +358,15 @@ class TriageDaemon:
         self._next_seq = 0
         #: serializes store writes, each snapshotting the settled
         #: history inside it — so writes land in snapshot order and the
-        #: store on disk only moves forward.  Lock order: _flush_lock,
-        #: then _cv; nothing takes _flush_lock while holding _cv.
+        #: store on disk only moves forward.  Nothing takes _flush_lock
+        #: while holding the view's lock or _cv.
         self._flush_lock = threading.Lock()
         #: settled-list length at the last store write (failed writes
         #: included: a failing disk is retried at the next flush point,
         #: not on every monitor tick)
         self._flushed_count = 0
-        #: (settled count, payload) memo for ``GET /buckets``, fed by
-        #: the incremental refiner below: each new verdict is folded in
-        #: once — O(delta), not O(history) — and read polling stays O(1)
-        self._buckets_cache: Optional[Tuple[int, dict]] = None
-        self._refiner = IncrementalRefiner()
-        self._refined_upto = 0
-        self._rebucket_lock = threading.Lock()
+        #: settled-list length folded into the view (under its lock)
+        self._folded = 0
         #: peer verdicts adopted as shadow jobs (never driven here)
         self._shadow_ids: set = set()
         #: peer → last seen combined journal size (the tail cursor)
@@ -1585,55 +1582,24 @@ class TriageDaemon:
     def flush_store(self) -> None:
         """Write the report store from the settled history so far.
 
-        The snapshot is O(1) under ``_cv``: the settled list is
-        append-only (a (list, length) pair read outside the lock is
-        stable) and pending-ness is a counter.  It is taken inside
-        ``_flush_lock``, so concurrent callers write in snapshot order
-        and a newer store is never overwritten by an older one.  The
-        O(history) corpus assembly and the atomic fsynced rewrite run
-        outside ``_cv``, without stalling admission or the workers."""
+        Inside ``_flush_lock`` and the view's lock, one ``_cv``
+        snapshot reads the settled count and the ``complete`` /
+        ``interrupted`` flags; the jobs settled since the last fold go
+        into the view, and the store is written from it.  Concurrent
+        callers therefore write in snapshot order, and the store on
+        disk only moves forward.  The write re-encodes only the rows
+        added or re-bucketed since the previous one (see
+        :class:`StoreView`), and it runs outside ``_cv``, without
+        stalling admission or the workers."""
         if self._store is None:
             return
-        with self._flush_lock:
-            with self._cv:
-                settled, count = self._settled_list, len(self._settled_list)
-                complete = not self._unsettled and not self._interrupted
-                interrupted = self._interrupted
-            self._flushed_count = count
-            # Store rows are in submission order — the batch-run
-            # equivalence contract — while the settled list is in settle
-            # order; sort the copy, outside the lock.  The submission order
-            # of a *fleet* is the deterministic merge order
-            # (submitted_at, node, seq), which reduces to plain seq order
-            # for a single node — any member's store converges on the same
-            # fleet-wide document.
-            done = sorted((job for job in settled[:count]
-                           if job.state is JobState.DONE
-                           and job.verdict is not None),
-                          key=lambda job: job.order_key)
-            programs: Dict[str, ProgramSpec] = {}
-            entries: List[CorpusEntry] = []
-            for job in done:
-                programs.setdefault(job.program.key, job.program)
-                # store_payload reads ids/labels off the entries, never the
-                # dumps — don't parse N historical coredumps per flush.
-                entries.append(CorpusEntry(
-                    report=job.bug_report(require_coredump=False),
-                    program_key=job.program.key))
-            corpus = TriageCorpus(programs=programs, entries=entries)
-            result = TriageServiceResult(
-                reports=[job.verdict for job in done],
-                elapsed=max(now() - self.metrics.started_at, 1e-9),
-                triaged=sum(1 for job in done
-                            if job.verdict.dedup_of is None
-                            and not job.verdict.cached),
-                dedup_hits=sum(1 for job in done
-                               if job.verdict.dedup_of is not None),
-                cache_hits=sum(1 for job in done if job.verdict.cached),
-                interrupted=interrupted,
-            )
+        with self._flush_lock, self._view.lock:
+            complete, interrupted = self._fold_settled_locked()
+            self._flushed_count = self._folded
             try:
-                self._store.flush(result, corpus, complete=complete)
+                self._store.flush(
+                    complete=complete, interrupted=interrupted,
+                    elapsed=max(now() - self.metrics.started_at, 1e-9))
             except OSError as exc:
                 # The store is a derived artifact — every row in it is
                 # rebuilt from the journal on replay — so a failed write
@@ -1642,6 +1608,34 @@ class TriageDaemon:
                 warnings.warn(f"report store flush failed ({exc}); "
                               f"retrying at the next flush point",
                               RuntimeWarning)
+
+    def _fold_settled_locked(self) -> Tuple[bool, bool]:
+        """Fold every job settled since the last fold into the view —
+        each verdict exactly once, whether it settled here, replayed
+        from this node's journal, or arrived from a peer's segments —
+        and return the store's ``(complete, interrupted)`` flags, read
+        in the same ``_cv`` snapshot as the settled count.  The caller
+        holds the view's lock."""
+        with self._cv:
+            settled, count = self._settled_list, len(self._settled_list)
+            complete = not self._unsettled and not self._interrupted
+            interrupted = self._interrupted
+        if count > self._folded:
+            # Store rows are in submission order (the batch-run
+            # equivalence contract) while the settled list is in settle
+            # order: each row goes in at its order key.  A fleet's
+            # submission order is the deterministic merge order
+            # (submitted_at, node, seq), plain seq order on one node, so
+            # any member's store converges on the same document.
+            for job in settled[self._folded:count]:
+                # Advance first: a fold that raises midway must not
+                # re-add the rows before it on the next pass.
+                self._folded += 1
+                if job.state is JobState.DONE and job.verdict is not None:
+                    self._view.add(job.order_key, job.verdict,
+                                   job.true_cause)
+            self.metrics.bump("rebucket_passes_total")
+        return complete, interrupted
 
     # ------------------------------------------------------------------
     # Queries (HTTP read side)
@@ -1653,72 +1647,22 @@ class TriageDaemon:
             return job.status_payload() if job else None
 
     def buckets_payload(self) -> dict:
-        # Settled jobs are immutable and the settled list append-only:
-        # snapshot (list, length) in O(1) under the lock, assemble the
-        # O(history) payload outside it so read polling never stalls
-        # admission or the workers (same pattern as the store flush).
-        with self._cv:
-            settled, count = self._settled_list, len(self._settled_list)
-        return self._buckets_for(settled, count)
-
-    def _buckets_for(self, settled: List[IntakeJob], count: int) -> dict:
-        """The refined bucket hierarchy over the settled history,
-        computed *incrementally*: each newly settled verdict is folded
-        into the persistent :class:`IncrementalRefiner` exactly once —
-        whether it arrived over HTTP, from this node's journal replay,
-        or from a peer's segments — so the background rebucket costs
-        O(new verdicts), not O(full history), per pass.  The refiner's
-        output is proven equal to the batch :func:`refine` pass by
-        ``tests/test_fleet.py``.  Memoized on the settled count; a
-        request older than the memo gets the (strictly fresher) memo."""
-        cached = self._buckets_cache
-        if cached is not None and cached[0] >= count:
-            return cached[1]
-        with self._rebucket_lock:
-            cached = self._buckets_cache
-            if cached is not None and cached[0] >= count:
-                return cached[1]
-            for job in settled[self._refined_upto:count]:
-                if job.state is JobState.DONE \
-                        and job.verdict is not None:
-                    self._refiner.add(job.verdict)
-            self._refined_upto = count
-            refinement = self._refiner.refinement()
-            done = sorted((job for job in settled[:count]
-                           if job.state is JobState.DONE
-                           and job.verdict is not None),
-                          key=lambda job: job.order_key)
-            buckets: Dict[str, List[str]] = {}
-            raw_buckets: Dict[str, List[str]] = {}
-            for job in done:
-                result = job.verdict.result
-                final = refinement.bucket_of(result.report_id,
-                                             result.bucket)
-                buckets.setdefault(repr(final), []).append(job.report_id)
-                raw_buckets.setdefault(
-                    repr(result.bucket), []).append(job.report_id)
-            payload = {
-                "buckets": buckets,
-                "raw_buckets": raw_buckets,
-                "hierarchy": refinement.hierarchy,
-                "stats": refinement.stats,
-            }
-            self._buckets_cache = (count, payload)
-        self.metrics.bump("rebucket_passes_total")
-        return payload
+        """The refined bucket view over the settled history, read from
+        the store's view after folding in what settled since the last
+        fold — O(new verdicts) plus a copy of the id lists, never a
+        re-bucketing of the history."""
+        with self._view.lock:
+            self._fold_settled_locked()
+            return self._view.buckets_payload()
 
     def _maintenance_rebucket(self) -> None:
         """Monitor-tick maintenance: fold verdicts settled since the
-        cached hierarchy into the incremental refiner, so ``GET
-        /buckets`` serves a precomputed view.  Best-effort, like every
-        monitor duty."""
-        with self._cv:
-            settled, count = self._settled_list, len(self._settled_list)
-        cached = self._buckets_cache
-        if cached is not None and cached[0] >= count:
-            return
+        last fold into the view, so a store write or ``GET /buckets``
+        finds them already there.  Best-effort, like every monitor
+        duty."""
         try:
-            self._buckets_for(settled, count)
+            with self._view.lock:
+                self._fold_settled_locked()
         except Exception as exc:  # noqa: BLE001 - monitor boundary
             warnings.warn(f"intake daemon: background rebucket hit "
                           f"{type(exc).__name__}: {exc}", RuntimeWarning)
@@ -1968,6 +1912,18 @@ class TriageDaemon:
             family("phase_latency_seconds", "summary",
                    "Per-phase latency of traced jobs, by priority.",
                    phase_samples)
+        store = self._store
+        for name, help_text, value in (
+                ("writes_total", "Report-store rewrites, failed ones "
+                 "included.", store.writes if store else 0),
+                ("write_seconds_total", "Seconds spent rendering and "
+                 "writing the report store.",
+                 round(store.write_seconds, 6) if store else 0.0),
+                ("rows_encoded_total", "Report-store rows encoded by "
+                 "rewrites (new or re-bucketed rows).",
+                 self._view.rows_encoded)):
+            families.append((f"res_store_{name}", "counter", help_text,
+                             [f"res_store_{name} {value}"]))
         lines = []
         for name, kind, help_text, samples in sorted(families):
             lines.append(f"# HELP {name} {help_text}")

@@ -119,18 +119,24 @@ class Coredump:
         the other — the dedup key of the batch triage service.  The hash
         is computed over the key-sorted JSON form, so it is invariant
         under dict insertion order and survives a to_json/from_json
-        round trip."""
-        canonical = json.dumps(json.loads(self.to_json()),
-                               sort_keys=True, separators=(",", ":"))
+        round trip.  The :meth:`to_obj` dict has string keys and int,
+        bool, None, string and list values only, so hashing it directly
+        equals hashing its JSON round trip."""
+        canonical = json.dumps(self.to_obj(), sort_keys=True,
+                               separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
+        return json.dumps(self.to_obj(), indent=1)
+
+    def to_obj(self) -> dict:
+        """The JSON-ready dict :meth:`to_json` serializes."""
         def pc_to_list(pc: PC) -> List:
             return [pc.function, pc.block, pc.index]
 
-        payload = {
+        return {
             "module": self.module_name,
             "trap": {
                 "kind": self.trap.kind.value,
@@ -169,7 +175,6 @@ class Coredump:
                 for tid, dump in self.threads.items()
             },
         }
-        return json.dumps(payload, indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "Coredump":

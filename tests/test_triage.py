@@ -233,6 +233,27 @@ def test_fingerprint_stable_across_json_round_trip(small_corpus):
     assert dump.fingerprint() == round_tripped.fingerprint()
 
 
+def test_fingerprint_equals_the_json_round_trip_digest():
+    """Hashing the dump's dict directly gives the digest every dedup
+    and cache key was built with: sha256 over the key-sorted compact
+    JSON of a ``to_json`` round trip — on the labeled fuzz dumps and on
+    every registry workload's dump."""
+    import hashlib
+
+    from repro.workloads import REGISTRY
+
+    corpus = build_labeled_corpus(list(range(9000, 9056))
+                                  + list(range(9100, 9220)))
+    dumps = [entry.report.coredump for entry in corpus.entries]
+    dumps += [REGISTRY.get(name).trigger() for name in REGISTRY.names()]
+    assert len(dumps) > 150
+    for dump in dumps:
+        canonical = json.dumps(json.loads(dump.to_json()), sort_keys=True,
+                               separators=(",", ":"))
+        assert dump.fingerprint() \
+            == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def test_fingerprint_distinguishes_dumps(small_corpus):
     dumps = [e.report.coredump for e in small_corpus.entries]
     causes = {e.report.true_cause for e in small_corpus.entries}
