@@ -45,12 +45,11 @@ serve-bench:
 bucket-bench:
 	$(PYTHON) -m pytest benchmarks/test_p6_bucket_quality.py -q -m perf
 
-# P7 fleet throughput benchmark (also an acceptance gate): process
-# workers vs the thread baseline on one node, and a 3-node sharded
-# fleet vs one node, over a 64-report cold corpus.  Speedup floors are
-# core-scaled — full ISSUE floors (2.5x / 1.8x) assert only when the
-# box has enough cores to parallelize; a no-regression floor holds
-# otherwise, and every row records cpu_cores (appends
+# P7 fleet throughput benchmark (also an acceptance gate): a 3-node
+# sharded fleet vs one 4-worker node over a 64-report cold corpus.
+# The speedup floor is core-scaled — the full 1.8x floor asserts only
+# when the box has enough cores to parallelize; a no-regression floor
+# holds otherwise, and every row records cpu_cores (appends
 # `fleet_throughput` rows).
 fleet-bench:
 	$(PYTHON) -m pytest benchmarks/test_p7_fleet_throughput.py -q -m perf

@@ -1,20 +1,17 @@
-"""P7 — fleet-scale intake throughput: process workers vs the old
-GIL-bound thread daemon, and a sharded 3-node fleet vs one node.
+"""P7 — fleet-scale intake throughput: a sharded 3-node fleet vs one
+node.
 
 Scenario: a 64-report **cold** corpus (16 armed programs × 4
-duplicates, no result cache) streams into (a) one daemon with 4 thread
-workers — the pre-refactor architecture, kept behind
-``worker_mode="thread"`` —, (b) one daemon with 4 *process* workers,
-and (c) a 3-node fleet with 2 process workers each, consistent-hash
-sharded by coredump fingerprint.  Cold drives are the expensive path:
-this is where worker parallelism and fleet sharding must pay.
+duplicates, no result cache) streams into (a) one daemon with 4
+worker processes and (b) a 3-node fleet with 2 worker processes each,
+consistent-hash sharded by coredump fingerprint.  Cold drives are the
+expensive path: this is where fleet sharding must pay.
 
-Floors are **core-scaled** (this is the honest part): the speedups the
-ISSUE demands (process ≥ 2.5× thread on one node; 3 nodes ≥ 1.8× one
-node) assume the hardware can actually run the workers in parallel.
-On a box with fewer cores than workers the full floors are provably
-unreachable (processes serialize exactly like threads, plus IPC), so
-the assertion degrades to a no-regression floor and the row records
+The floor is **core-scaled** (this is the honest part): 3 nodes ≥
+1.8× one node assumes the hardware can actually run the workers in
+parallel.  On a box with fewer cores than workers the full floor is
+provably unreachable (the workers serialize, plus IPC), so the
+assertion degrades to a no-regression floor and the row records
 ``cpu_cores`` + ``full_floor_asserted`` so readers can tell which
 regime a number came from.
 
@@ -50,11 +47,10 @@ DUPLICATES = 4
 MAX_DEPTH = 8
 MAX_NODES = 300
 CORES = os.cpu_count() or 1
-#: ISSUE floors, reachable only with enough cores to parallelize
-PROCESS_SPEEDUP_FLOOR = 2.5   # 1×4 process vs 1×4 thread, ≥4 cores
-FLEET_SPEEDUP_FLOOR = 1.8     # 3×2 fleet vs best 1-node, ≥6 cores
-#: no-regression floor when cores are scarce: the refactor may not
-#: cost more than 2× over the architecture it replaced
+#: full floor, reachable only with enough cores to parallelize
+FLEET_SPEEDUP_FLOOR = 1.8     # 3×2 fleet vs 1×4 node, ≥6 cores
+#: no-regression floor when cores are scarce: the fleet may not cost
+#: more than 2× over one node
 NO_REGRESSION_FLOOR = 0.5
 
 
@@ -84,7 +80,7 @@ def _submit_routed(daemons, corpus):
         assert status in (200, 202), (status, body)
 
 
-def _run_topology(tmp_path, corpus, label, nodes, workers, worker_mode):
+def _run_topology(tmp_path, corpus, label, nodes, workers):
     """Drain the cold corpus through one topology; returns its
     measured row (plus the per-node store views for the equality
     check)."""
@@ -96,7 +92,7 @@ def _run_topology(tmp_path, corpus, label, nodes, workers, worker_mode):
         service = _service_config(str(root / f"store-{node}.json"))
         daemons[node] = TriageDaemon(DaemonConfig(
             service=service, spool_dir=str(root / "spool"),
-            workers=workers, worker_mode=worker_mode,
+            workers=workers,
             node_id=node if len(nodes) > 1 else None,
             peers=peers if len(nodes) > 1 else {},
             max_queue=len(corpus.entries)))
@@ -137,7 +133,6 @@ def _run_topology(tmp_path, corpus, label, nodes, workers, worker_mode):
         "topology": label,
         "nodes": len(nodes),
         "workers_per_node": workers,
-        "worker_mode": worker_mode,
         "reports": len(corpus.entries),
         "programs": len(corpus.programs),
         "cpu_cores": CORES,
@@ -164,21 +159,19 @@ def test_p7_fleet_throughput(tmp_path):
                                    complete=True)), sort_keys=True)
 
     topologies = [
-        ("1x4-thread", ("solo",), 4, "thread"),
-        ("1x4-process", ("solo",), 4, "process"),
-        ("3x2-process", ("node-a", "node-b", "node-c"), 2, "process"),
+        ("1x4-process", ("solo",), 4),
+        ("3x2-process", ("node-a", "node-b", "node-c"), 2),
     ]
     rows = {}
-    for label, nodes, workers, mode in topologies:
+    for label, nodes, workers in topologies:
         row, views = _run_topology(tmp_path, corpus, label, nodes,
-                                   workers, mode)
+                                   workers)
         for node, view in views.items():
             assert view == batch_view, \
                 f"{label}: {node} store diverged from the batch run"
         rows[label] = row
 
-    thread_rps = rows["1x4-thread"]["reports_per_sec"]
-    process_rps = rows["1x4-process"]["reports_per_sec"]
+    single_rps = rows["1x4-process"]["reports_per_sec"]
     fleet_rps = rows["3x2-process"]["reports_per_sec"]
     for row in rows.values():
         workers_total = row["nodes"] * row["workers_per_node"]
@@ -186,21 +179,10 @@ def test_p7_fleet_throughput(tmp_path):
         bench_record("fleet_throughput", row)
         emit_row("P7", **row)
 
-    if CORES >= 4:
-        assert process_rps >= PROCESS_SPEEDUP_FLOOR * thread_rps, (
-            f"process workers {process_rps:.1f} reports/s vs thread "
-            f"{thread_rps:.1f} (floor {PROCESS_SPEEDUP_FLOOR}x, "
-            f"{CORES} cores)")
-    else:
-        assert process_rps >= NO_REGRESSION_FLOOR * thread_rps, (
-            f"process workers regressed past {NO_REGRESSION_FLOOR}x "
-            f"on {CORES} core(s): {process_rps:.1f} vs "
-            f"{thread_rps:.1f} reports/s")
-    single_rps = max(thread_rps, process_rps)
     if CORES >= 6:
         assert fleet_rps >= FLEET_SPEEDUP_FLOOR * single_rps, (
-            f"3-node fleet {fleet_rps:.1f} reports/s vs best single "
-            f"node {single_rps:.1f} (floor {FLEET_SPEEDUP_FLOOR}x, "
+            f"3-node fleet {fleet_rps:.1f} reports/s vs single node "
+            f"{single_rps:.1f} (floor {FLEET_SPEEDUP_FLOOR}x, "
             f"{CORES} cores)")
     else:
         assert fleet_rps >= NO_REGRESSION_FLOOR * single_rps, (

@@ -434,7 +434,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                           quarantine_after=args.quarantine_after,
                           watchdog_timeout=args.watchdog_timeout,
                           retry_backoff_base=args.retry_backoff,
-                          worker_mode=args.worker_mode,
                           node_id=args.node_id,
                           peers=peers,
                           journal_rotate_mb=args.journal_rotate_mb)
@@ -449,7 +448,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     fleet = (f", node={config.node_id}, peers={len(peers)}"
              if config.node_id else "")
     print(f"res-serve listening on http://{host}:{port} "
-          f"(workers={config.workers} [{config.worker_mode}], "
+          f"(workers={config.workers} [process], "
           f"max-queue={config.max_queue}{fleet})",
           flush=True)
     if daemon.resumed_jobs:

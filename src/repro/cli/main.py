@@ -134,13 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--workers", type=int, default=2,
                          help="triage worker processes "
                               "(default: %(default)s)")
-    p_serve.add_argument("--worker-mode", choices=("process", "thread"),
+    p_serve.add_argument("--worker-mode", choices=("process",),
                          default="process",
-                         help="worker isolation: 'process' runs each "
-                              "worker in its own OS process (GIL-free, "
-                              "crash-isolated); 'thread' keeps the "
-                              "legacy in-process workers "
-                              "(default: %(default)s)")
+                         help="worker isolation; each worker runs in "
+                              "its own OS process (the only mode)")
     p_serve.add_argument("--node-id", metavar="NAME",
                          help="fleet node name; enables fleet mode: "
                               "admission is sharded by coredump "

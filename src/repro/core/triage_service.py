@@ -2,9 +2,12 @@
 corpora (paper §3.1 at production scale).
 
 The single-report :class:`repro.core.triage.TriageEngine` answers "what
-bucket does this coredump belong to?".  This module answers the same
-question for a *corpus* under report traffic, with three scaling layers
-stacked on top of the engine:
+bucket does this coredump belong to?".  :class:`StreamingTriage` is the
+one session that turns a report into a verdict: a strict warm-cache
+lookup first, then a drive on a warm per-program engine, then a durable
+cache append.  Every intake-daemon worker holds one, and so does every
+batch run.  The batch driver, :func:`triage_corpus`, adds only what a
+batch over a known corpus has:
 
 * **dedup by coredump fingerprint** — production report streams are
   dominated by duplicate crashes (that is why bucketing exists at all);
@@ -12,31 +15,35 @@ stacked on top of the engine:
   an already-triaged report short-circuit to the cached verdict and
   never touch RES;
 * **sharding by program** — unique reports are grouped by the program
-  they crash, and groups are fanned across worker processes.  Within a
-  worker every report of the same program reuses one compiled module
-  and one :class:`TriageEngine`, so the per-module RES caches
-  (candidate enumerator, writer index, block boundaries, solver verdict
-  cache) are shared across reports instead of rebuilt per report;
+  they crash, and groups are fanned across ``mp.Pool`` worker
+  processes, each holding one session.  Within a session every report
+  of the same program reuses one compiled module and one
+  :class:`TriageEngine`, so the per-module RES caches (candidate
+  enumerator, writer index, block boundaries, solver verdict cache)
+  are shared across reports instead of rebuilt per report;
 * **anytime streaming + a persistent report store** — finished groups
   are streamed to a ``progress`` callback as they land, and the JSON
-  report store on disk is atomically rewritten as results accumulate,
+  report store on disk is atomically rewritten once
+  :data:`STORE_FLUSH_EVERY` verdicts have landed since the last write,
   so an operator can watch buckets fill while the batch is running and
   an interrupted run leaves a readable partial store behind;
-* **warm start (PR 4)** — with a ``cache_dir``, every synthesized
-  verdict is durably appended to a cross-run
-  :class:`repro.core.rescache.ResultCache` as it lands, and the next
-  run short-circuits any report whose strict cache key (module ×
+* **warm start** — with a ``cache_dir``, the driver durably appends
+  every synthesized verdict to a cross-run
+  :class:`repro.core.rescache.ResultCache` as its group lands, and the
+  next run short-circuits any report whose strict cache key (module ×
   coredump × config × schema fingerprints) is unchanged — only new or
-  invalidated reports re-pay the backward search.  Exported
-  residual-component solver caches ride along per module, so even the
-  recomputed reports start on a primed solver.  ``warm_from`` names
-  additional read-only cache directories consulted on a miss.
+  invalidated reports re-pay the backward search.  Each session merges
+  its engines' residual-component solver caches into per-module
+  sidecars after every group, so even the recomputed reports start on
+  a primed solver.  ``warm_from`` names additional read-only cache
+  directories consulted on a miss.
 
 Determinism contract: for the same corpus and budgets, the sharded run
 buckets **byte-identically** to the serial run (``jobs=1``), to a
-plain per-report ``TriageEngine.triage`` sweep, and to a warm run over
-any cache state — parallelism and caching are execution strategies,
-never a semantic change.  Enforced by ``tests/test_triage.py``,
+plain per-report ``TriageEngine.triage`` sweep, to a warm run over any
+cache state, and to a daemon fed the same reports — parallelism,
+caching and intake are execution strategies, never a semantic change.
+Enforced by ``tests/test_triage.py``, ``tests/test_service.py``,
 ``benchmarks/test_p3_triage_throughput.py``, and
 ``benchmarks/test_p4_warm_triage.py``; :func:`verdict_view` is the
 canonical "semantic subset" two report stores are compared by (it
@@ -250,9 +257,6 @@ class TriageServiceConfig:
     taint_suffixes: int = 8
     #: persistent JSON report store (None disables the store)
     store_path: Optional[str] = None
-    #: rewrite the store every N finished groups (anytime visibility
-    #: vs. fsync traffic)
-    flush_every: int = 4
     #: cross-run result cache directory: verdicts are read from it
     #: before any search runs and appended to it as results land
     cache_dir: Optional[str] = None
@@ -300,6 +304,21 @@ class TriagedReport:
     #: verdict came from the cross-run result cache (no search ran)
     cached: bool = False
 
+    def as_duplicate(self, report_id: str, program_key: str,
+                     fingerprint: str) -> "TriagedReport":
+        """The verdict a duplicate of this report settles with: this
+        cause and bucket under the duplicate's own report id, program
+        and fingerprint (the batch's dedup copies and the daemon's
+        instant dedups both build it here)."""
+        result = self.result
+        return TriagedReport(
+            result=TriageResult(report_id=report_id, bucket=result.bucket,
+                                cause=result.cause,
+                                used_fallback=result.used_fallback,
+                                exploitable=result.exploitable),
+            program_key=program_key, fingerprint=fingerprint,
+            dedup_of=result.report_id)
+
 
 @dataclass
 class TriageServiceResult:
@@ -329,83 +348,37 @@ class TriageServiceResult:
 
 
 # ---------------------------------------------------------------------------
-# Worker side
+# The batch driver
 # ---------------------------------------------------------------------------
 
-#: per-process state: compiled modules and engines, keyed by program
-#: (populated lazily, shared across every group the worker processes)
-_WORKER: Dict[str, object] = {}
+#: one work item: a program and its reports as (corpus index, report,
+#: fingerprint), driven back to back on one engine
+_Group = Tuple[ProgramSpec, List[Tuple[int, BugReport, str]]]
+
+#: a pool worker's session, built by :func:`_init_worker` (None in the
+#: driver, which hands its own session to inline groups)
+_SESSION: Optional["StreamingTriage"] = None
 
 
-def _init_worker(programs: Dict[str, ProgramSpec],
-                 config: TriageServiceConfig) -> None:
-    _WORKER["programs"] = programs
-    _WORKER["config"] = config
-    _WORKER["engines"] = {}
+def _init_worker(config: TriageServiceConfig) -> None:
+    global _SESSION
+    _SESSION = StreamingTriage(config)
 
 
-def build_engine(spec: ProgramSpec, config: TriageServiceConfig,
-                 chain: Optional[CacheChain] = None) -> TriageEngine:
-    """Compile ``spec`` and build the one engine every report of that
-    program rides — the single construction path shared by the batch
-    workers and the streaming (daemon) sessions, so the two cannot
-    drift apart."""
-    engine = TriageEngine(spec.compile(), config.res_config(),
-                          annotations=config.annotations,
-                          stack_depth=config.stack_depth,
-                          max_suffixes=config.max_suffixes,
-                          taint_suffixes=config.taint_suffixes)
-    if chain is not None and chain.enabled:
-        # Warm workers start primed: a prior run's exported
-        # residual-component cache is exact (pure function of its
-        # key), so priming can speed the search up but never
-        # change a verdict.
-        engine.import_solver_cache(
-            chain.load_solver_cache(spec.module_fp()))
-    return engine
+def _triage_group(group: _Group,
+                  session: Optional["StreamingTriage"] = None
+                  ) -> List[Tuple[int, TriagedReport, CachedVerdict]]:
+    """Drive one group on ``session`` (the pool worker's own unless
+    given), then merge its engine's solver cache into the sidecar.
+    Returns each report's verdict and cache row; the driver keeps them
+    and appends the rows as the group lands."""
+    session = session or _SESSION
+    spec, items = group
+    out = [(index, *session.drive(spec, report, fingerprint))
+           for index, report, fingerprint in items]
+    session.flush_solver_caches()
+    return out
 
-
-def _worker_engine(program_key: str) -> TriageEngine:
-    engines: Dict[str, TriageEngine] = _WORKER["engines"]  # type: ignore
-    engine = engines.get(program_key)
-    if engine is None:
-        config: TriageServiceConfig = _WORKER["config"]  # type: ignore
-        spec: ProgramSpec = _WORKER["programs"][program_key]  # type: ignore
-        engine = build_engine(spec, config, config.cache_chain())
-        engines[program_key] = engine
-    return engine
-
-
-#: per-item extras riding back with each verdict (cache-row material)
-_GroupItem = Tuple[int, TriageResult, float, dict]
-
-
-def _triage_group(group: Tuple[str, List[Tuple[int, BugReport]]]
-                  ) -> Tuple[str, List[_GroupItem], Optional[dict]]:
-    """Triage one (program, reports) group; runs inside a worker (or
-    inline for ``jobs=1`` — same code path, so serial and sharded runs
-    cannot diverge).  Returns the program key, the per-report verdicts
-    (with drive stats + suffix digests for the result cache), and —
-    when a cache is configured — the engine's exported solver cache."""
-    program_key, items = group
-    config: TriageServiceConfig = _WORKER["config"]  # type: ignore
-    engine = _worker_engine(program_key)
-    out: List[_GroupItem] = []
-    for index, report in items:
-        started = time.perf_counter()
-        result = engine.triage_one(report)
-        out.append((index, result, time.perf_counter() - started,
-                    {"stats": engine.last_stats,
-                     "suffixes": engine.last_suffix_digests}))
-    solver_export = None
-    if config.cache_dir is not None:
-        solver_export = engine.export_solver_cache()
-    return program_key, out, solver_export
-
-
-# ---------------------------------------------------------------------------
-# The service driver
-# ---------------------------------------------------------------------------
 
 def triage_corpus(corpus: TriageCorpus,
                   config: Optional[TriageServiceConfig] = None,
@@ -414,18 +387,15 @@ def triage_corpus(corpus: TriageCorpus,
                   ) -> TriageServiceResult:
     """Triage a whole corpus: dedup, shard, stream, persist.
 
-    ``progress`` is invoked with each finished group's verdicts (plus,
-    at the end, the dedup copies) as they land — the anytime interface.
+    ``progress`` is invoked with the warm cache hits, then with each
+    finished group's verdicts as they land, then with the dedup copies
+    — the anytime interface.
     """
     config = config or TriageServiceConfig()
     started = time.perf_counter()
     store = TriageStore(config, StoreView(config, corpus)) \
         if config.store_path else None
-    chain = config.cache_chain()
-    config_fp = config.config_fingerprint() if chain.enabled else ""
-    module_fps: Dict[str, str] = {
-        key: spec.module_fp() for key, spec in corpus.programs.items()
-    } if chain.enabled else {}
+    session = StreamingTriage(config)
 
     # 1. Fingerprint + dedup: the first occurrence of each
     #    (program, fingerprint) pair is the representative; later
@@ -443,31 +413,19 @@ def triage_corpus(corpus: TriageCorpus,
 
     # 2. Warm start: representatives whose strict cache key is
     #    unchanged take their verdict straight from the cross-run
-    #    cache — the bucket mapping is re-derived from the cached
-    #    cause (so current annotations apply), and no module is even
-    #    compiled for fully-cached programs.  Any fingerprint
-    #    mismatch is a miss and the report is recomputed below.
+    #    cache, and no module is even compiled for fully-cached
+    #    programs.  Any fingerprint mismatch is a miss and the report
+    #    is recomputed below.
     cached_slots: Dict[int, TriagedReport] = {}
-    if chain.enabled:
-        for index in representative.values():
-            entry = corpus.entries[index]
-            cache_key = CacheKey(module_fp=module_fps[entry.program_key],
-                                 coredump_fp=fingerprints[index],
-                                 config_fp=config_fp)
-            hit = chain.lookup(cache_key)
-            if hit is None:
-                continue
-            result = synthesize_result(entry.report, hit.cause,
-                                       hit.exploitable,
-                                       annotations=config.annotations,
-                                       stack_depth=config.stack_depth)
-            cached_slots[index] = TriagedReport(
-                result=result, program_key=entry.program_key,
-                fingerprint=fingerprints[index], seconds=0.0,
-                cached=True)
+    for index in representative.values():
+        entry = corpus.entries[index]
+        hit = session.lookup(corpus.programs[entry.program_key],
+                             entry.report, fingerprints[index])
+        if hit is not None:
+            cached_slots[index] = hit
 
     if config.rebucket_only:
-        if not chain.enabled:
+        if not session.chain.enabled:
             raise ReproError(
                 "--rebucket needs a result cache (--cache-dir or "
                 "--warm-from): it re-derives buckets from cached "
@@ -489,81 +447,60 @@ def triage_corpus(corpus: TriageCorpus,
     #    otherwise a single-program corpus (the common production
     #    shape) would serialize on one worker and make ``jobs`` a
     #    silent no-op.
-    groups: Dict[str, List[Tuple[int, BugReport]]] = {}
+    groups: Dict[str, List[Tuple[int, BugReport, str]]] = {}
     for index, entry in enumerate(corpus.entries):
         if index in duplicate_of or index in cached_slots:
             continue
         groups.setdefault(entry.program_key, []).append(
-            (index, entry.report))
-    work: List[Tuple[str, List[Tuple[int, BugReport]]]] = []
-    if config.jobs > 1:
-        unique_total = sum(len(items) for items in groups.values())
-        chunk = max(1, -(-unique_total // (config.jobs * 4)))
-        for key, items in groups.items():
-            for lo in range(0, len(items), chunk):
-                work.append((key, items[lo:lo + chunk]))
-    else:
-        work = list(groups.items())
+            (index, entry.report, fingerprints[index]))
+    unique_total = sum(len(items) for items in groups.values())
+    chunk = -(-unique_total // (config.jobs * 4)) if config.jobs > 1 \
+        else unique_total
+    work: List[_Group] = [
+        (corpus.programs[key], items[lo:lo + chunk])
+        for key, items in groups.items()
+        for lo in range(0, len(items), chunk)]
 
     # 4. Fan out (or run inline through the identical group function).
     slots: List[Optional[TriagedReport]] = [None] * len(corpus.entries)
-    finished_groups = 0
+    unwritten = 0  # verdicts kept since the last store write
     interrupted = False
-    solver_exports: Dict[str, Optional[dict]] = {}
 
     def keep(index: int, item: TriagedReport) -> None:
+        nonlocal unwritten
         slots[index] = item
         if store is not None:
             store.view.add(index, item,
                            corpus.entries[index].report.true_cause)
+            unwritten += 1
 
     for index, item in cached_slots.items():
         keep(index, item)
     if cached_slots and progress is not None:
         progress([cached_slots[index] for index in sorted(cached_slots)])
 
-    def land(group_result: Tuple[str, List[_GroupItem],
-                                 Optional[dict]]) -> None:
-        nonlocal finished_groups
-        program_key, group_out, solver_export = group_result
-        landed: List[TriagedReport] = []
-        for index, result, seconds, extras in group_out:
-            entry = corpus.entries[index]
-            item = TriagedReport(result=result,
-                                 program_key=entry.program_key,
-                                 fingerprint=fingerprints[index],
-                                 seconds=seconds)
+    def land(group_out: List[Tuple[int, TriagedReport, CachedVerdict]]
+             ) -> None:
+        nonlocal unwritten
+        for index, item, row in group_out:
             keep(index, item)
-            landed.append(item)
-            if chain.primary is not None:
-                # Durable append as results land: an interrupted run
-                # leaves a valid partial cache a resumed run
-                # warm-starts from.
-                chain.put(
-                    CacheKey(module_fp=module_fps[entry.program_key],
-                             coredump_fp=fingerprints[index],
-                             config_fp=config_fp),
-                    CachedVerdict(cause=result.cause,
-                                  exploitable=result.exploitable,
-                                  seconds=seconds,
-                                  suffix_digests=tuple(
-                                      extras.get("suffixes", ())),
-                                  stats=extras.get("stats")))
-        if solver_export is not None:
-            solver_exports[program_key] = _merge_solver_snapshots(
-                solver_exports.get(program_key), solver_export)
-        finished_groups += 1
+            # Durable append as results land: an interrupted run
+            # leaves a valid partial cache a resumed run warm-starts
+            # from.
+            session.remember(corpus.programs[item.program_key],
+                             item.fingerprint, row)
         if progress is not None:
-            progress(landed)
-        if store is not None and finished_groups % config.flush_every == 0:
+            progress([item for __, item, __ in group_out])
+        if store is not None and unwritten >= STORE_FLUSH_EVERY:
             store.flush(complete=False, interrupted=False,
                         elapsed=time.perf_counter() - started)
+            unwritten = 0
 
     if config.jobs > 1 and len(work) > 1:
         import multiprocessing as mp
 
         pool = mp.Pool(config.jobs, initializer=_init_worker,
-                       initargs=(corpus.programs, config))
+                       initargs=(config,))
         try:
             for group_out in pool.imap_unordered(_triage_group, work):
                 land(group_out)
@@ -580,14 +517,11 @@ def triage_corpus(corpus: TriageCorpus,
         finally:
             pool.join()
     else:
-        _init_worker(corpus.programs, config)
         try:
             for group in work:
-                land(_triage_group(group))
+                land(_triage_group(group, session))
         except KeyboardInterrupt:
             interrupted = True
-        finally:
-            _WORKER.clear()
 
     # 5. Resolve duplicates against their representative's verdict.
     copies: List[TriagedReport] = []
@@ -596,34 +530,12 @@ def triage_corpus(corpus: TriageCorpus,
         if rep is None:
             continue  # representative never landed (interrupted run)
         entry = corpus.entries[index]
-        result = rep.result
-        keep(index, TriagedReport(
-            result=TriageResult(report_id=entry.report.report_id,
-                                bucket=result.bucket,
-                                cause=result.cause,
-                                used_fallback=result.used_fallback,
-                                exploitable=result.exploitable),
-            program_key=entry.program_key,
-            fingerprint=fingerprints[index],
-            seconds=0.0,
-            dedup_of=result.report_id))
+        keep(index, rep.as_duplicate(entry.report.report_id,
+                                     entry.program_key,
+                                     fingerprints[index]))
         copies.append(slots[index])
     if copies and progress is not None:
         progress(copies)
-
-    # 6. Persist the per-module solver caches so the next run's
-    #    workers start primed even for reports it must recompute.
-    #    Merged into the sidecar on disk, as a streaming session does
-    #    (a daemon sharing the cache may have added rows since the
-    #    engines loaded it), and best-effort: a sidecar that cannot be
-    #    written warns, and the final store below still lands.
-    if chain.primary is not None:
-        for program_key, snapshot in solver_exports.items():
-            if snapshot:
-                chain.update_solver_cache_safe(
-                    module_fps[program_key],
-                    lambda current, snapshot=snapshot:
-                        _merge_solver_snapshots(current, snapshot))
 
     result = _partial_result(slots, corpus, started)
     result.interrupted = interrupted
@@ -633,11 +545,15 @@ def triage_corpus(corpus: TriageCorpus,
     return result
 
 
+# ---------------------------------------------------------------------------
+# The triage session
+# ---------------------------------------------------------------------------
+
 def _merge_solver_snapshots(base: Optional[dict],
                             extra: Optional[dict]) -> Optional[dict]:
-    """Union two exported component-cache snapshots (chunks of one
-    program may land from different workers).  First row per key wins;
-    snapshots with different solver caps never merge."""
+    """Union two exported component-cache snapshots (a sidecar on disk
+    and an engine's export).  First row per key wins; snapshots with
+    different solver caps never merge."""
     if not base:
         return extra
     if not extra:
@@ -654,36 +570,31 @@ def _merge_solver_snapshots(base: Optional[dict],
     return {"caps": base["caps"], "rows": merged}
 
 
-# ---------------------------------------------------------------------------
-# Streaming (one-report-at-a-time) entry point
-# ---------------------------------------------------------------------------
-
 class StreamingTriage:
-    """Incremental triage session for a long-lived process.
+    """The triage session: the one code path from a report to a verdict.
 
-    The batch entry point (:func:`triage_corpus`) wants the whole corpus
-    up front; the crash-intake daemon gets reports one HTTP request at a
-    time and must answer each without restarting the world.  A
-    ``StreamingTriage`` holds exactly the state one batch pool worker
-    holds — compiled modules and warm engines keyed by program — plus
-    the cross-run cache chain, and triages single reports through the
-    *same* verdict path the batch run uses (:func:`build_engine`,
-    :meth:`TriageEngine.triage_one`, :func:`synthesize_result`, strict
-    cache-key lookup before any compile).  That sharing is the
-    determinism argument: a daemon's verdict for a submission is
+    A session is what a long-lived triage process holds — compiled
+    modules and warm engines keyed by program, plus the cross-run cache
+    chain.  The crash-intake daemon gets reports one HTTP request at a
+    time, and each of its worker processes answers them through one
+    session (:meth:`triage_one`).  The batch driver
+    (:func:`triage_corpus`) uses the same methods piecewise: its own
+    session's :meth:`lookup` for the warm start, one session per pool
+    worker (or its own, inline) for :meth:`drive`, and its own again
+    for :meth:`remember` as each group lands.  There is no other
+    verdict code, so a daemon's verdict for a submission is
     byte-identical under :func:`verdict_view` to a batch ``res triage``
-    over the same corpus, because there is no daemon-only verdict code.
+    over the same corpus by construction.
 
     Not thread-safe: engines mutate per-module caches during a drive.
-    Each daemon worker owns one session; the :class:`CacheChain` behind
-    them may be shared (``ResultCache`` serializes itself).
+    Each worker owns one session, and each session opens its own
+    :class:`CacheChain`; sessions in different processes share the
+    cache files, whose appends and sidecar merges are flock-serialized.
     """
 
-    def __init__(self, config: Optional[TriageServiceConfig] = None,
-                 chain: Optional[CacheChain] = None):
+    def __init__(self, config: Optional[TriageServiceConfig] = None):
         self.config = config or TriageServiceConfig()
-        self.chain = chain if chain is not None \
-            else self.config.cache_chain()
+        self.chain = self.config.cache_chain()
         self.config_fp = self.config.config_fingerprint() \
             if self.chain.enabled else ""
         self._engines: Dict[str, TriageEngine] = {}
@@ -699,12 +610,84 @@ class StreamingTriage:
         self.last_phases: list = []
 
     def _engine(self, spec: ProgramSpec) -> TriageEngine:
+        """The one engine every report of ``spec`` rides, compiled on
+        first use."""
         engine = self._engines.get(spec.key)
         if engine is None:
-            engine = build_engine(spec, self.config, self.chain)
+            config = self.config
+            engine = TriageEngine(spec.compile(), config.res_config(),
+                                  annotations=config.annotations,
+                                  stack_depth=config.stack_depth,
+                                  max_suffixes=config.max_suffixes,
+                                  taint_suffixes=config.taint_suffixes)
+            if self.chain.enabled:
+                # Warm engines start primed: a prior run's exported
+                # residual-component cache is exact (pure function of
+                # its key), so priming can speed the search up but
+                # never change a verdict.
+                engine.import_solver_cache(
+                    self.chain.load_solver_cache(spec.module_fp()))
             self._engines[spec.key] = engine
             self._specs[spec.key] = spec
         return engine
+
+    def _key(self, spec: ProgramSpec, fingerprint: str) -> CacheKey:
+        return CacheKey(module_fp=spec.module_fp(), coredump_fp=fingerprint,
+                        config_fp=self.config_fp)
+
+    def _hit(self, spec: ProgramSpec, report: BugReport, fingerprint: str
+             ) -> Optional[Tuple[TriagedReport, CachedVerdict]]:
+        if not self.chain.enabled:
+            return None
+        hit = self.chain.lookup(self._key(spec, fingerprint))
+        if hit is None:
+            return None
+        # The bucket is re-derived from the cached cause, so the
+        # current annotations and stack depth apply.
+        result = synthesize_result(report, hit.cause, hit.exploitable,
+                                   annotations=self.config.annotations,
+                                   stack_depth=self.config.stack_depth)
+        return TriagedReport(result=result, program_key=spec.key,
+                             fingerprint=fingerprint, cached=True), hit
+
+    def lookup(self, spec: ProgramSpec, report: BugReport,
+               fingerprint: Optional[str] = None
+               ) -> Optional[TriagedReport]:
+        """The report's verdict from the cache chain (strict key, no
+        compile, ``cached=True``), or None on a miss."""
+        hit = self._hit(spec, report,
+                        fingerprint or report.coredump.fingerprint())
+        return hit and hit[0]
+
+    def drive(self, spec: ProgramSpec, report: BugReport, fingerprint: str
+              ) -> Tuple[TriagedReport, CachedVerdict]:
+        """Run the backward search on the program's warm engine; returns
+        the verdict, timed, and the cache row that records it."""
+        fi = faultinject.active()
+        if fi is not None:
+            # The "slow/hung/failing solver" site: fires on cache
+            # misses only (a warm hit never calls the solver), right
+            # where a drive starts.
+            fi.check("solver.call")
+        engine = self._engine(spec)
+        self._drove.add(spec.key)
+        started = time.perf_counter()
+        result = engine.triage_one(report)
+        seconds = time.perf_counter() - started
+        return (TriagedReport(result=result, program_key=spec.key,
+                              fingerprint=fingerprint, seconds=seconds),
+                CachedVerdict(cause=result.cause,
+                              exploitable=result.exploitable,
+                              seconds=seconds,
+                              suffix_digests=engine.last_suffix_digests,
+                              stats=engine.last_stats))
+
+    def remember(self, spec: ProgramSpec, fingerprint: str,
+                 row: CachedVerdict) -> None:
+        """Durably append a drive's cache row to the writable cache (a
+        no-op without one)."""
+        if self.chain.primary is not None:
+            self.chain.put(self._key(spec, fingerprint), row)
 
     def triage_one(self, spec: ProgramSpec, report: BugReport,
                    fingerprint: Optional[str] = None,
@@ -717,63 +700,36 @@ class StreamingTriage:
         recompute refreshes the cached row instead of ignoring it.
         ``trace`` (a trace id) asks for per-phase timings in
         :attr:`last_phases`; when None — the default — no clock is
-        read beyond the existing ``seconds`` measurement."""
+        read beyond the drive's own ``seconds`` measurement."""
         fingerprint = fingerprint or report.coredump.fingerprint()
         traced = trace is not None and obs.enabled()
         if traced:
             self.last_phases = []
-        cache_key = None
-        if self.chain.enabled:
-            cache_key = CacheKey(module_fp=spec.module_fp(),
-                                 coredump_fp=fingerprint,
-                                 config_fp=self.config_fp)
+        if not bypass_cache:
             lookup_started = time.perf_counter() if traced else 0.0
-            hit = None if bypass_cache else self.chain.lookup(cache_key)
+            hit = self._hit(spec, report, fingerprint)
             if hit is not None:
-                result = synthesize_result(
-                    report, hit.cause, hit.exploitable,
-                    annotations=self.config.annotations,
-                    stack_depth=self.config.stack_depth)
                 if traced:
                     self.last_phases = [(
-                        "warm-hit",
-                        time.perf_counter() - lookup_started,
-                        hit.hit_attrs())]
-                return TriagedReport(result=result, program_key=spec.key,
-                                     fingerprint=fingerprint,
-                                     seconds=0.0, cached=True)
-        fi = faultinject.active()
-        if fi is not None:
-            # The "slow/hung/failing solver" site: fires on cache
-            # misses only (a warm hit never calls the solver), right
-            # where a drive would start.
-            fi.check("solver.call")
-        engine_started = time.perf_counter() if traced else 0.0
-        engine = self._engine(spec)
-        self._drove.add(spec.key)
-        started = time.perf_counter()
-        result = engine.triage_one(report)
-        seconds = time.perf_counter() - started
-        if cache_key is not None and self.chain.primary is not None:
-            self.chain.put(
-                cache_key,
-                CachedVerdict(cause=result.cause,
-                              exploitable=result.exploitable,
-                              seconds=seconds,
-                              suffix_digests=engine.last_suffix_digests,
-                              stats=engine.last_stats))
+                        "warm-hit", time.perf_counter() - lookup_started,
+                        hit[1].hit_attrs())]
+                return hit[0]
+        drive_started = time.perf_counter() if traced else 0.0
+        triaged, row = self.drive(spec, report, fingerprint)
         if traced:
             self.last_phases = self._drive_phases(
-                engine, started - engine_started)
-        return TriagedReport(result=result, program_key=spec.key,
-                             fingerprint=fingerprint, seconds=seconds)
+                self._engines[spec.key],
+                time.perf_counter() - drive_started - triaged.seconds)
+        self.remember(spec, fingerprint, row)
+        return triaged
 
     @staticmethod
     def _drive_phases(engine: TriageEngine, compile_seconds: float
                       ) -> list:
         """The last drive as ``(phase, seconds, attrs)`` tuples in
-        execution order.  "compile" is the engine build/lookup (near
-        zero for a warm engine — the span shows the cache working);
+        execution order.  "compile" is the drive's wall outside its
+        timed search: the engine build or lookup (near zero for a warm
+        engine — the span shows the cache working);
         solver effort rides the enumerate phase, which is where the
         calls are issued."""
         stats = engine.last_stats or {}
@@ -833,6 +789,13 @@ def _partial_result(slots: Sequence[Optional[TriagedReport]],
 # ---------------------------------------------------------------------------
 # The persistent report store
 # ---------------------------------------------------------------------------
+
+#: the batch driver and the daemon's monitor rewrite the report store
+#: once this many verdicts have landed since their last write (the
+#: final write always runs, so the store never misses verdicts — this
+#: only trades mid-run visibility against rewrite traffic)
+STORE_FLUSH_EVERY = 8
+
 
 class TriageStore:
     """The on-disk JSON report store — the one writer the batch driver

@@ -17,15 +17,13 @@ buckets.  Four layers, all built on the batch machinery of PRs 3–4:
   bounded queue pushes back (HTTP 429 + Retry-After) instead of
   accepting work it cannot promise.
 * **warm worker processes** — each worker slot drives a forked worker
-  *process* (``worker_mode="process"``; see
-  :mod:`repro.service.workerpool`) holding a
-  :class:`repro.core.triage_service.StreamingTriage` session: the same
-  per-program engines, the same strict rescache lookup, the same
-  verdict synthesis as a batch ``res triage`` run — now off the GIL,
-  so cold intake scales with cores.  Verdicts are byte-identical under
+  *process* (see :mod:`repro.service.workerpool`) holding a
+  :class:`repro.core.triage_service.StreamingTriage` session, the one
+  verdict path a batch ``res triage`` run drives too — off the GIL, so
+  cold intake scales with cores.  Verdicts are byte-identical under
   :func:`repro.core.triage_service.verdict_view` to a batch run over
-  the same submissions — enforced by ``tests/test_service.py`` and
-  ``tests/test_fleet.py``.
+  the same submissions by construction; ``tests/test_service.py`` and
+  ``tests/test_fleet.py`` check it.
 * **observability** — ``healthz`` and Prometheus-style ``metrics``
   (queue depth, in-flight, verdicts/s, warm-hit rate, p50/p95
   submit→verdict latency), plus the standard JSON report store.  The
@@ -67,8 +65,8 @@ from repro import obs
 from repro.errors import ReproError
 from repro.faultinject import WorkerCrashError
 from repro.vm.coredump import Coredump
-from repro.core.triage import TriageResult
 from repro.core.triage_service import (
+    STORE_FLUSH_EVERY,
     ProgramSpec,
     StoreView,
     TriagedReport,
@@ -88,11 +86,6 @@ from repro.service.jobs import (
 )
 from repro.service.ring import HashRing
 
-#: the monitor rewrites the report store once this many jobs have
-#: settled since its last write (the shutdown write always runs, so
-#: the store never misses verdicts — this only trades mid-run
-#: visibility against rewrite traffic, which grows with history)
-STORE_FLUSH_EVERY = 8
 #: submit→verdict latency samples kept for the p50/p95 gauges
 LATENCY_WINDOW = 512
 #: ceiling of the jittered retry backoff (seconds)
@@ -110,8 +103,8 @@ class DaemonConfig:
     service: TriageServiceConfig = field(default_factory=TriageServiceConfig)
     #: spool directory holding the durable job journal
     spool_dir: str = "res-spool"
-    #: worker threads (0 is legal and means "accept but never triage" —
-    #: used by backpressure and resume tests)
+    #: worker processes (0 is legal and means "accept but never
+    #: triage" — used by backpressure and resume tests)
     workers: int = 2
     #: bounded queue: submissions beyond this many queued jobs are
     #: refused with 429 + Retry-After (dedup attachments are free and
@@ -138,11 +131,6 @@ class DaemonConfig:
     max_core_bytes: int = 8 * 1024 * 1024
     #: seed for the backoff jitter (None = nondeterministic)
     backoff_seed: Optional[int] = None
-    #: worker executor mode: ``"process"`` (default) forks one worker
-    #: process per slot — cold verdicts are pure Python compute, and
-    #: the GIL serializes threads; ``"thread"`` keeps the in-thread
-    #: drive as the measured baseline and the no-fork fallback
-    worker_mode: str = "process"
     #: fleet identity: a non-empty node id opts into fleet mode — the
     #: journal becomes ``journal-<node>.jsonl`` and job/report ids get
     #: a node prefix, so merged replay is collision-free by name
@@ -183,7 +171,7 @@ class DaemonMetrics:
         self.quarantined_total = 0   # poison jobs settled as quarantined
         self.worker_restarts_total = 0  # workers respawned by the monitor
         self.journal_errors_total = 0   # failed journal appends
-        self.rebucket_passes_total = 0  # background bucket refinements
+        self.rebucket_passes_total = 0  # view folds that added verdicts
         self.latencies = deque(maxlen=LATENCY_WINDOW)
         #: worker-drive settles only (no instant dedups): the sample
         #: the Retry-After estimate needs — near-zero dedup settles
@@ -276,12 +264,12 @@ class TriageDaemon:
 
     Thread model: HTTP handler threads call :meth:`submit` and the
     read-only query methods; ``workers`` proxy threads run
-    :meth:`_worker_loop`, each driving its executor (a forked worker
-    process by default — the drive compute happens there, off the
-    GIL).  All shared daemon state lives behind one condition
-    variable.  Engines never cross threads or processes — each
-    executor owns its session — and the rescache files they share are
-    flock-serialized for multi-process appenders.
+    :meth:`_worker_loop`, each driving its forked worker process (the
+    drive compute happens there, off the GIL).  All shared daemon
+    state lives behind one condition variable.  Engines never cross
+    threads or processes — each worker process owns its session — and
+    the rescache files they share are flock-serialized for
+    multi-process appenders.
     """
 
     def __init__(self, config: Optional[DaemonConfig] = None):
@@ -296,10 +284,6 @@ class TriageDaemon:
         if self.config.node_id:
             members.add(self.config.node_id)
         self._ring = HashRing(members) if self.config.node_id else None
-        #: one shared cache chain: ResultCache is thread-safe, and
-        #: sharing it means a verdict cached by worker A is a warm hit
-        #: for worker B within the same daemon lifetime
-        self.chain = self.service_config.cache_chain()
         self.metrics = DaemonMetrics()
         #: flight-recorder sink — construction is cheap (a Path and a
         #: lock); nothing is written unless a sampled job emits spans
@@ -329,10 +313,10 @@ class TriageDaemon:
         #: worker name -> (job, claim token, monotonic start) for every
         #: in-flight drive — the watchdog's view of the world
         self._running_jobs: Dict[str, tuple] = {}
-        #: workers reaped by the watchdog: their thread is still alive
-        #: (parked in a hung drive) but no longer counts, claims, or
-        #: settles; it exits at the next loop turn (a process-mode
-        #: proxy unblocks immediately — its child is SIGKILLed)
+        #: workers reaped by the watchdog: their proxy thread may still
+        #: be alive (until its SIGKILLed child's pipe reads EOF) but no
+        #: longer counts, claims, or settles; it exits at the next
+        #: loop turn
         self._abandoned: set = set()
         #: worker name → live executor (the watchdog's kill switch)
         self._executors: Dict[str, object] = {}
@@ -390,7 +374,7 @@ class TriageDaemon:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        if self.config.workers > 0 and self.config.worker_mode == "process":
+        if self.config.workers > 0:
             # Worker processes inherit the fault injector by fork; its
             # counters move to a shared flock'd file first, so the
             # seeded schedule stays deterministic across processes and
@@ -488,25 +472,9 @@ class TriageDaemon:
         self._next_seq = next_ids(replayed)
         resumed: List[IntakeJob] = []
         for job in replayed:
-            self._jobs[job.job_id] = job
-            self._by_seq.append(job)
-            self._seen_fingerprints.add(job.fingerprint)
-            if job.settled:
-                self._settled_list.append(job)
-                if job.state is JobState.QUARANTINED:
-                    self._quarantined_count += 1
-            else:
+            self._register_replayed_locked(job)
+            if not job.settled:  # replay leaves it QUEUED
                 self._unsettled += 1
-            if job.state is JobState.DONE:
-                if job.force:
-                    # Mirror _complete: a completed forced recompute is
-                    # the representative, even across restarts (jobs
-                    # replay in seq order, so the newest force wins).
-                    self._done_by_key[job.dedup_key] = job.job_id
-                else:
-                    self._done_by_key.setdefault(job.dedup_key,
-                                                 job.job_id)
-            elif job.state is JobState.QUEUED:
                 resumed.append(job)
         self.resumed_jobs = len(resumed)
         journal: List[tuple] = []
@@ -529,6 +497,31 @@ class TriageDaemon:
             warnings.warn(f"resume: journal append failed ({exc}); "
                           f"dedup rows will be rebuilt on next replay",
                           RuntimeWarning)
+
+    def _register_replayed_locked(self, job: IntakeJob) -> None:
+        """Index a job replayed from a journal (this node's on resume,
+        a peer's on adopt); a settled one joins the settled history,
+        and a DONE one becomes its key's dedup representative."""
+        self._jobs[job.job_id] = job
+        self._by_seq.append(job)
+        self._seen_fingerprints.add(job.fingerprint)
+        if not job.settled:
+            return
+        self._settled_list.append(job)
+        if job.state is JobState.QUARANTINED:
+            self._quarantined_count += 1
+        if job.state is JobState.DONE and job.verdict is not None:
+            self._publish_done_locked(job)
+
+    def _publish_done_locked(self, job: IntakeJob) -> None:
+        """Make a DONE job the verdict later duplicates of its key
+        copy: a forced recompute is the *new* truth and replaces the
+        key's representative (jobs replay in seq order, so the newest
+        force wins); otherwise the first verdict stays."""
+        if job.force:
+            self._done_by_key[job.dedup_key] = job.job_id
+        else:
+            self._done_by_key.setdefault(job.dedup_key, job.job_id)
 
     # ------------------------------------------------------------------
     # Admission
@@ -808,11 +801,7 @@ class TriageDaemon:
                 # every future store flush at complete=false.  Unwind
                 # the registration and let the submitter see the error
                 # — an unacknowledged submission is safely retryable.
-                self._jobs.pop(job.job_id, None)
-                if job in self._by_seq:
-                    self._by_seq.remove(job)
-                self._unsettled -= 1
-                self.metrics.submitted_total -= 1
+                self._unwind_locked(job)
                 self._note_disk(False)
                 raise
             self._note_disk(True)
@@ -868,18 +857,9 @@ class TriageDaemon:
     def _settle_duplicate_locked(self, job: IntakeJob,
                                  representative: IntakeJob,
                                  journal: Optional[List[tuple]]) -> None:
-        rep_result = representative.verdict.result
         job.dedup_of = representative.report_id
-        job.verdict = TriagedReport(
-            result=TriageResult(report_id=job.report_id,
-                                bucket=rep_result.bucket,
-                                cause=rep_result.cause,
-                                used_fallback=rep_result.used_fallback,
-                                exploitable=rep_result.exploitable),
-            program_key=job.program.key,
-            fingerprint=job.fingerprint,
-            seconds=0.0,
-            dedup_of=representative.report_id)
+        job.verdict = representative.verdict.as_duplicate(
+            job.report_id, job.program.key, job.fingerprint)
         job.state = JobState.DONE
         job.finished_at = now()
         job._dump = None  # settled: nothing reads the parsed dump again
@@ -1157,16 +1137,13 @@ class TriageDaemon:
     # ------------------------------------------------------------------
 
     def _worker_loop(self, name: Optional[str] = None) -> None:
-        """One worker slot: a proxy thread driving its executor — by
-        default a forked worker process holding the warm triage session
-        (``worker_mode="process"``), optionally the in-thread drive.
-        The claim/release protocol runs here, on the proxy, whatever
-        the executor is, which is how the PR 6 self-healing contract
-        survives the process boundary unchanged."""
+        """One worker slot: a proxy thread driving a forked worker
+        process that holds the warm triage session.  The claim/release
+        protocol runs here, on the proxy, which is how the self-healing
+        contract (claims, retries, quarantine, watchdog) survives the
+        process boundary."""
         name = name or threading.current_thread().name
-        executor = workerpool.create_executor(
-            self.config.worker_mode, self.service_config,
-            chain=self.chain)
+        executor = workerpool.ProcessExecutor(self.service_config)
         with self._cv:
             self._executors[name] = executor
         fi = faultinject.active()
@@ -1187,7 +1164,7 @@ class TriageDaemon:
                         # *before* dispatch — the window where an
                         # acknowledged job is claimed but has produced
                         # nothing — so the seeded schedule and the
-                        # metrics are executor-mode independent.
+                        # metrics live in the daemon.
                         fi.check("worker.task")
                     triaged = executor.run(
                         job.program, job.bug_report(),
@@ -1198,10 +1175,9 @@ class TriageDaemon:
                     raise
                 except WorkerCrashError as exc:
                     # Simulated worker death: kill the worker process
-                    # to make it a real one (thread mode has nothing
-                    # to kill), do the bookkeeping (requeue or
-                    # quarantine), then the slot dies — the monitor
-                    # respawns a replacement, exactly the
+                    # to make it a real one, do the bookkeeping
+                    # (requeue or quarantine), then the slot dies —
+                    # the monitor respawns a replacement, exactly the
                     # crash-looping-fleet scenario quarantine bounds.
                     executor.kill()
                     self._record_attempt(job, [], outcome="worker-crash",
@@ -1441,13 +1417,11 @@ class TriageDaemon:
             self._cv.notify_all()
 
     def _watchdog_locked(self, journal: List[tuple]) -> None:
-        """Reap drives that exceeded the watchdog timeout: abandon the
-        hung worker thread (it can be parked in a hung solver call —
-        nothing can interrupt it, so it is written off and replaced),
+        """Reap drives that exceeded the watchdog timeout: SIGKILL the
+        worker process, write its slot off so a replacement spawns,
         invalidate its claim, and count a worker loss against the job.
-        A process-mode drive is *killable*: SIGKILL the worker process
-        and the proxy unblocks on pipe EOF (its claim is already stale,
-        so the death is discarded) instead of parking forever."""
+        The proxy thread unblocks on pipe EOF; its claim is already
+        stale, so the death is discarded."""
         timeout = self.config.watchdog_timeout
         if timeout <= 0:
             return
@@ -1541,12 +1515,7 @@ class TriageDaemon:
         # phase 1's rows were being written.
         journal: List[tuple] = []
         with self._cv:
-            if job.force:
-                # A forced recompute is the *new* truth for this key:
-                # later dedups copy it, not the verdict it re-checked.
-                self._done_by_key[job.dedup_key] = job.job_id
-            else:
-                self._done_by_key.setdefault(job.dedup_key, job.job_id)
+            self._publish_done_locked(job)
             if self._pending_by_key.get(job.dedup_key) == job.job_id:
                 self._pending_by_key.pop(job.dedup_key)
             for dep_id in self._dependents.pop(job.job_id, ()):
@@ -1734,23 +1703,8 @@ class TriageDaemon:
                     continue
                 job.resumed = True
                 job._dump = None
-                self._jobs[job.job_id] = job
-                self._by_seq.append(job)
                 self._shadow_ids.add(job.job_id)
-                self._seen_fingerprints.add(job.fingerprint)
-                self._settled_list.append(job)
-                if job.state is JobState.QUARANTINED:
-                    self._quarantined_count += 1
-                if job.state is JobState.DONE \
-                        and job.verdict is not None:
-                    if job.force:
-                        # Jobs replay in seq order, so the peer's
-                        # newest forced recompute wins — mirroring
-                        # _complete phase 2 on the owner itself.
-                        self._done_by_key[job.dedup_key] = job.job_id
-                    else:
-                        self._done_by_key.setdefault(job.dedup_key,
-                                                     job.job_id)
+                self._register_replayed_locked(job)
                 adopted = True
             if adopted:
                 self._cv.notify_all()
@@ -1871,7 +1825,7 @@ class TriageDaemon:
                "Journal writes that failed and were backlogged.",
                snapshot["journal_errors_total"])
         scalar("rebucket_passes_total", "counter",
-               "Historical re-bucketing passes completed.",
+               "Store-view folds that added settled verdicts.",
                snapshot["rebucket_passes_total"])
         scalar("injected_faults_total", "counter",
                "Faults fired by the fault-injection harness.",

@@ -1,11 +1,9 @@
 """Worker executors: the daemon's drive engine, out of the GIL.
 
-PR 5's daemon ran every drive on a worker *thread* — correct, but one
-GIL means one core, and cold verdicts are pure Python compute.  This
-module lifts the PR 3 multiprocess sharding idea into the daemon's
-per-worker shape: each worker slot owns an **executor**, and the
-default executor forks a dedicated worker *process* that holds the
-warm :class:`~repro.core.triage_service.StreamingTriage` session.
+Cold verdicts are pure Python compute, and one GIL means one core, so
+each daemon worker slot owns a :class:`ProcessExecutor`: a forked
+worker *process* that holds the warm
+:class:`~repro.core.triage_service.StreamingTriage` session.
 
 The daemon's self-healing contract survives the process boundary
 unchanged because the *proxy thread* (the daemon-side half of each
@@ -48,9 +46,6 @@ EOF/EPIPE and reports :class:`WorkerProcessDied`.  Anything the child
 can serialize an answer for is an ``("error", ...)`` reply instead —
 those are drive errors, retried by the daemon's normal attempt
 budget, not worker losses.
-
-``worker_mode="thread"`` keeps the old in-thread executor as the A/B
-baseline for ``make fleet-bench`` (and for platforms without fork).
 """
 
 from __future__ import annotations
@@ -117,51 +112,8 @@ class WorkerProcessDied(RuntimeError):
 
 class TriageTaskError(RuntimeError):
     """A drive raised inside the worker; ``str()`` carries the child's
-    ``"ExcType: message"`` rendering so retry/quarantine diagnostics
-    read identically to the in-thread path."""
-
-
-class ThreadExecutor:
-    """The PR 5 shape: the drive runs on the proxy thread itself.
-    Kept as the measured baseline (``worker_mode="thread"``) — the
-    fleet benchmark's denominator — and as the no-fork fallback."""
-
-    def __init__(self, config: TriageServiceConfig, chain=None):
-        self._session = StreamingTriage(
-            config, chain=chain if chain is not None
-            else config.cache_chain())
-        #: per-phase timings of the last traced task (see the module
-        #: docstring's wire protocol); [] for untraced tasks
-        self.last_phases: list = []
-
-    @property
-    def alive(self) -> bool:
-        return True
-
-    def run(self, program: ProgramSpec, report: BugReport,
-            fingerprint: Optional[str] = None,
-            bypass_cache: bool = False,
-            trace: Optional[str] = None) -> TriagedReport:
-        self.last_phases = []
-        try:
-            triaged = self._session.triage_one(
-                program, report, fingerprint=fingerprint,
-                bypass_cache=bypass_cache, trace=trace)
-            if trace is not None:
-                self.last_phases = list(self._session.last_phases)
-            return triaged
-        except KeyboardInterrupt:
-            raise
-        except faultinject.WorkerCrashError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - worker boundary
-            raise TriageTaskError(f"{type(exc).__name__}: {exc}") from exc
-
-    def kill(self) -> None:  # nothing to kill: the thread IS the drive
-        pass
-
-    def close(self) -> None:
-        self._session.flush_solver_caches()
+    ``"ExcType: message"`` rendering for the retry/quarantine
+    diagnostics."""
 
 
 def _child_main(conn, config: TriageServiceConfig) -> None:
@@ -176,7 +128,7 @@ def _child_main(conn, config: TriageServiceConfig) -> None:
     fi = faultinject.active()
     if fi is not None:
         fi._lock = threading.Lock()
-    session = StreamingTriage(config, chain=config.cache_chain())
+    session = StreamingTriage(config)
     try:
         while True:
             try:
@@ -303,13 +255,3 @@ class ProcessExecutor:
         if self._proc.is_alive():
             self.kill()
             self._proc.join(timeout=1.0)
-
-
-def create_executor(mode: str, config: TriageServiceConfig, chain=None):
-    """The daemon's per-worker factory: ``"process"`` (default) forks a
-    worker process; ``"thread"`` runs drives on the proxy thread."""
-    if mode == "thread":
-        return ThreadExecutor(config, chain=chain)
-    if mode == "process":
-        return ProcessExecutor(config)
-    raise ValueError(f"unknown worker mode: {mode!r}")

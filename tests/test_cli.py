@@ -392,6 +392,16 @@ def test_triage_unwritable_cache_dir(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_serve_worker_mode_accepts_only_process():
+    """Worker processes are the only mode; the flag still parses so
+    existing ``--worker-mode process`` invocations keep working."""
+    args = build_parser().parse_args(["serve", "--worker-mode", "process"])
+    assert args.worker_mode == "process"
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["serve", "--worker-mode", "thread"])
+    assert excinfo.value.code == 2
+
+
 def test_serve_unwritable_spool(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")

@@ -222,7 +222,7 @@ def test_trace_crosses_the_workerpool_pipe(tmp_path):
     """The drive's phase timings come back over the worker-process
     pipe and land as child spans of the attempt."""
     obs.activate(1.0)
-    daemon = _daemon(tmp_path, workers=1, worker_mode="process")
+    daemon = _daemon(tmp_path, workers=1)
     daemon.start()
     program, core = _figure1_submission()
     status, body = daemon.submit(program, core, report_id="piped")

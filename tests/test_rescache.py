@@ -499,7 +499,7 @@ def test_unwritable_solver_sidecar_still_lands_the_final_store(tmp_path):
     store = tmp_path / "store.json"
     config = TriageServiceConfig(max_depth=8, max_nodes=300,
                                  cache_dir=str(tmp_path / "cache"),
-                                 store_path=str(store), flush_every=1)
+                                 store_path=str(store))
     plan = {"seed": 0, "sites": {"ioutil.atomic_write": {
         "prob": 1.0, "kinds": ["enospc"], "path_contains": "/solver/"}}}
     with faultinject.injected(plan), \

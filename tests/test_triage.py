@@ -371,7 +371,7 @@ def test_report_store_is_written_and_complete(small_corpus, tmp_path):
     service = triage_corpus(
         small_corpus,
         TriageServiceConfig(jobs=1, max_depth=16, max_nodes=4000,
-                            store_path=str(store), flush_every=1))
+                            store_path=str(store)))
     payload = json.loads(store.read_text())
     assert payload["complete"] is True
     assert payload["timing"]["dedup_hits"] == service.dedup_hits
@@ -511,7 +511,7 @@ def test_interrupted_warm_run_resumes_from_partial_cache(tmp_path):
     cache_dir = str(tmp_path / "cache")
     store = tmp_path / "store.json"
     config = TriageServiceConfig(jobs=1, cache_dir=cache_dir,
-                                 store_path=str(store), flush_every=1)
+                                 store_path=str(store))
 
     landed_groups = []
 
@@ -566,3 +566,60 @@ def test_annotation_changes_rebucket_cached_verdicts(tmp_path):
 
 def _check_function_matcher(cause):
     return any(pc.function == "check" for pc in cause.pcs)
+
+
+def test_sharded_cold_run_fills_the_cache_like_a_serial_run(tmp_path):
+    """A cold ``jobs=2`` run drives in pool workers and appends in the
+    driver: one cache row per representative, the same solver sidecars
+    as a cold ``jobs=1`` run, and a warm rerun that drives nothing."""
+    from repro.core.rescache import ResultCache
+
+    # 9005 and 9012 leave solver sidecars; most fuzz programs leave none.
+    corpus = build_labeled_corpus([9000, 9005, 9012, 9101], duplicates=2,
+                                  shuffle_seed=5)
+    sharded_dir, serial_dir = tmp_path / "sharded", tmp_path / "serial"
+    sharded = TriageServiceConfig(jobs=2, cache_dir=str(sharded_dir))
+    cold = triage_corpus(corpus, sharded)
+    triage_corpus(corpus, TriageServiceConfig(jobs=1,
+                                              cache_dir=str(serial_dir)))
+    representatives = len(corpus.programs)
+    assert cold.triaged == representatives
+
+    assert ResultCache(str(sharded_dir)).stats()["entries"] \
+        == representatives
+
+    def sidecars(root):
+        return sorted(path.name for path in (root / "solver").glob("*.json"))
+
+    assert sidecars(sharded_dir) and sidecars(sharded_dir) \
+        == sidecars(serial_dir)
+
+    warm = triage_corpus(corpus, sharded)
+    assert warm.triaged == 0 and warm.cache_hits == representatives
+    assert _view(warm, corpus, sharded) == _view(cold, corpus, sharded)
+
+
+def test_batch_store_writes_follow_store_flush_every(tmp_path,
+                                                     monkeypatch):
+    """The batch driver rewrites the store once STORE_FLUSH_EVERY
+    verdicts have landed since its last write, plus the final write: a
+    6-program corpus (six one-report groups) is written exactly once,
+    complete."""
+    from repro.core import triage_service
+
+    flushes = []
+    original = triage_service.TriageStore.flush
+
+    def counted(self, complete, interrupted, elapsed):
+        flushes.append(complete)
+        original(self, complete, interrupted, elapsed)
+
+    monkeypatch.setattr(triage_service.TriageStore, "flush", counted)
+    corpus = build_labeled_corpus(range(9100, 9106))
+    store = tmp_path / "store.json"
+    triage_corpus(corpus, TriageServiceConfig(store_path=str(store)))
+    assert flushes == [True]
+    assert triage_service.STORE_FLUSH_EVERY > len(corpus.programs)
+    payload = json.loads(store.read_text())
+    assert payload["complete"] is True
+    assert len(payload["results"]) == 6
