@@ -8,14 +8,19 @@ output directly.
 Performance trajectory: perf-marked benchmarks append structured rows
 (the throughput benchmarks' before/after numbers) to ``BENCH_res.json``
 at the repo root via :func:`bench_record`, each family under its own
-key.  Plain test runs write nothing there; ``pytest --durations=0``
-prints per-test wall times on demand.
+key.  Every row is stamped with its provenance (:func:`provenance`),
+under the names ``perfbench/run.py`` uses for its results.  Plain test
+runs write nothing there; ``pytest --durations=0`` prints per-test wall
+times on demand.
 """
 
 from __future__ import annotations
 
 import fcntl
 import json
+import os
+import platform
+import subprocess
 import time
 from pathlib import Path
 
@@ -67,11 +72,41 @@ def _update_bench(mutate) -> None:
         _save_bench(payload)
 
 
+def _git_sha():
+    root = BENCH_PATH.parent
+    if not (root / ".git").exists():
+        return None  # not a clone: do not report an enclosing repo's sha
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def provenance() -> dict:
+    """Where a row was measured: the commit (when the checkout is a git
+    clone), the cores this process may run on, the Python version and
+    the hash seed (``"random"`` when ``PYTHONHASHSEED`` is unset)."""
+    row = {
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "pythonhashseed": os.environ.get("PYTHONHASHSEED", "random"),
+    }
+    sha = _git_sha()
+    if sha is not None:
+        row["git_sha"] = sha
+    return row
+
+
 def bench_record(section: str, entry: dict) -> None:
-    """Append a structured result row under ``section``."""
+    """Append a structured result row under ``section``, stamped with
+    its :func:`provenance` (a field of ``entry`` wins over a stamp of
+    the same name)."""
+    row = dict(provenance(), **entry)
+    row["recorded_at"] = round(time.time(), 1)
 
     def mutate(payload: dict) -> None:
-        payload.setdefault(section, []).append(
-            dict(entry, recorded_at=round(time.time(), 1)))
+        payload.setdefault(section, []).append(row)
 
     _update_bench(mutate)

@@ -11,7 +11,12 @@ constraint set to concrete values, instantiates a VM mid-execution
 schedule leg by leg, and finally verifies that the machine lands
 *exactly* on the coredump — trap, memory image, and failing-thread
 registers.  Verification is also RES's false-positive filter: "any
-execution suffix must match the full coredump exactly" (§6).
+execution suffix must match the full coredump exactly" (§6), so it runs
+once per emitted suffix.  It reads the machine it drove (the terminal
+trap, the VM's memory words, the failing thread's slot frames) and
+captures no second coredump to compare.  A failed replay names the
+class of its first mismatch (:attr:`ReplayReport.failure`), which the
+search counts per class.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from repro.ir.module import Module
 from repro.symex.expr import Const, evaluate_compiled
 from repro.symex.solver import Solver
 from repro.vm.scheduler import RandomPreemptScheduler
-from repro.vm.coredump import Coredump, TrapKind
-from repro.vm.interpreter import BFrame, RunResult, RunStatus, VM
+from repro.vm.coredump import Coredump, Trap, TrapKind
+from repro.vm.interpreter import BFrame, RunResult, VM
 from repro.vm.memory import Allocation
 from repro.vm.state import Thread, ThreadStatus
 from repro.vm.trace import ExecutionTrace
@@ -42,9 +47,20 @@ class ReplayReport:
     model: Optional[Dict[str, int]] = None
     trace: Optional[ExecutionTrace] = None
     vm: Optional[VM] = None
+    #: why a failed replay failed, named by its first mismatch: the
+    #: solver found no model (``materialize``); the schedule could not
+    #: be driven as written, or ended without the expected trap or lock
+    #: wait (``schedule``); or the end state differs from the coredump
+    #: in the ``trap``, a ``memory`` word, the failing thread's
+    #: ``frame`` count or positions, or a ``register``
+    failure: Optional[str] = None
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _schedule_failure(message: str) -> ReplayReport:
+    return ReplayReport(ok=False, mismatches=[message], failure="schedule")
 
 
 class SuffixReplayer:
@@ -63,7 +79,9 @@ class SuffixReplayer:
 
     def replay(self, suffix: ExecutionSuffix,
                presolved=None) -> ReplayReport:
-        """Solve, instantiate, drive, verify.
+        """Solve, instantiate, drive, verify.  The report is ``ok`` when
+        the driven machine *is* the coredump; otherwise ``mismatches``
+        lists what differs and ``failure`` names the first one's class.
 
         ``presolved`` short-circuits the constraint solve with a
         :class:`~repro.symex.solver.SolveResult` the backward search
@@ -77,7 +95,7 @@ class SuffixReplayer:
         if not result.is_sat or result.model is None:
             return ReplayReport(ok=False, mismatches=[
                 f"cannot materialize suffix: solver says {result.status.value}"
-            ])
+            ], failure="materialize")
         model = result.model
         vm = self._instantiate(suffix, model)
         inputs = list(vm.inputs)
@@ -144,11 +162,11 @@ class SuffixReplayer:
                 slots: List[Optional[int]] = [None] * bfunc.nslots
                 reg_slots = bfunc.reg_slots
                 for reg, expr in f.regs.items():
-                    slots[reg_slots[reg]] = expr.value \
+                    slots[reg_slots[reg.name]] = expr.value \
                         if type(expr) is Const else eval_(expr, model)
                 ret_slot = -1
                 if f.ret_dst is not None and prev_bfunc is not None:
-                    ret_slot = prev_bfunc.reg_slots[f.ret_dst]
+                    ret_slot = prev_bfunc.reg_slots[f.ret_dst.name]
                 bframes.append(BFrame(bfunc, ip, slots, f.frame_base,
                                       f.ret_dst, ret_slot))
                 prev_bfunc = bfunc
@@ -186,7 +204,6 @@ class SuffixReplayer:
         fire.  A thread that blocks did not execute its instruction:
         the schedule is not realizable.
         """
-        mismatches: List[str] = []
         terminal: Optional[RunResult] = None
         # Adjacent legs of the same thread merge into one ``run_leg``
         # call: between them only a wake and a status re-check could
@@ -204,114 +221,131 @@ class SuffixReplayer:
                 legs.append((tid, count))
         for leg_idx, (tid, count) in enumerate(legs):
             if terminal is not None:
-                mismatches.append("program ended before the schedule did")
-                return ReplayReport(ok=False, mismatches=mismatches)
+                return _schedule_failure(
+                    "program ended before the schedule did")
             vm.wake_threads()
             thread = vm.threads.get(tid)
             if thread is None or thread.status is not ThreadStatus.RUNNABLE:
-                mismatches.append(
+                return _schedule_failure(
                     f"thread {tid} not runnable at leg {leg_idx}")
-                return ReplayReport(ok=False, mismatches=mismatches)
             executed, terminal = vm.run_leg(tid, count)
             if thread.status in (ThreadStatus.BLOCKED_LOCK,
                                  ThreadStatus.BLOCKED_JOIN):
                 before = thread.top.pc if thread.frames else None
-                mismatches.append(
+                return _schedule_failure(
                     f"thread {tid} blocked mid-suffix at {before}")
-                return ReplayReport(ok=False, mismatches=mismatches)
             if thread.status is ThreadStatus.FINISHED \
                     and terminal is None and executed < count:
-                mismatches.append(
+                return _schedule_failure(
                     f"thread {tid} finished with its leg unfinished")
-                return ReplayReport(ok=False, mismatches=mismatches)
             if terminal is not None and executed < count:
-                mismatches.append("program ended before the schedule did")
-                return ReplayReport(ok=False, mismatches=mismatches)
-        return self._finish_drive(vm, suffix, terminal, mismatches)
+                return _schedule_failure(
+                    "program ended before the schedule did")
+        return self._finish_drive(vm, suffix, terminal)
 
     def _finish_drive(self, vm: VM, suffix: ExecutionSuffix,
-                      terminal: Optional[RunResult],
-                      mismatches: List[str]) -> ReplayReport:
+                      terminal: Optional[RunResult]) -> ReplayReport:
         coredump = suffix.coredump
         if coredump.trap.kind is TrapKind.DEADLOCK:
-            return self._verify_deadlock(vm, suffix, mismatches)
+            return self._verify_deadlock(vm, suffix)
 
-        if terminal is None or terminal.status is not RunStatus.TRAPPED \
-                or terminal.coredump is None:
-            mismatches.append("suffix did not end in a trap")
-            return ReplayReport(ok=False, mismatches=mismatches)
-        return self._verify(terminal.coredump, coredump, mismatches)
+        if terminal is None or terminal.trap is None:
+            return _schedule_failure("suffix did not end in a trap")
+        return self._verify(vm, terminal.trap, coredump)
 
-    def _verify_deadlock(self, vm: VM, suffix: ExecutionSuffix,
-                         mismatches: List[str]) -> ReplayReport:
+    def _verify_deadlock(self, vm: VM,
+                         suffix: ExecutionSuffix) -> ReplayReport:
         coredump = suffix.coredump
         tid = coredump.trap.tid
         vm.wake_threads()
         thread = vm.threads[tid]
         if thread.status is ThreadStatus.RUNNABLE:
-            vm.step_thread(tid)
+            vm.run_leg(tid, 1)
         if thread.status is not ThreadStatus.BLOCKED_LOCK:
-            mismatches.append("failing thread did not block on its lock")
-            return ReplayReport(ok=False, mismatches=mismatches)
+            return _schedule_failure(
+                "failing thread did not block on its lock")
         if coredump.trap.fault_addr is not None \
                 and thread.blocked_on != coredump.trap.fault_addr:
-            mismatches.append("failing thread blocked on the wrong lock")
-            return ReplayReport(ok=False, mismatches=mismatches)
-        replayed = vm.capture_coredump(coredump.trap)
-        return self._verify(replayed, coredump, mismatches,
-                            check_trap=False)
+            return _schedule_failure("failing thread blocked on the wrong lock")
+        return self._verify(vm, coredump.trap, coredump, check_trap=False)
 
     # ------------------------------------------------------------------
     # Verification: the replayed end state must *be* the coredump
     # ------------------------------------------------------------------
 
-    def _verify(self, replayed: Coredump, expected: Coredump,
-                mismatches: List[str], check_trap: bool = True) -> ReplayReport:
+    @staticmethod
+    def _verify(vm: VM, trap: Trap, expected: Coredump,
+                check_trap: bool = True) -> ReplayReport:
+        """Compare the live machine, stopped at ``trap``, with
+        ``expected``: the trap, every memory word, and the failing
+        thread's frame positions and registers.  A mismatch reads as it
+        would against a coredump captured from ``vm`` — a register the
+        frame leaves undefined (or its function lacks) reads ``None``.
+        """
+        mismatches: List[str] = []
+        failure: Optional[str] = None
         if check_trap:
-            got, want = replayed.trap, expected.trap
-            if got.kind is not want.kind or got.tid != want.tid \
-                    or got.pc != want.pc or got.fault_addr != want.fault_addr:
-                mismatches.append(f"trap mismatch: got {got!r}, want {want!r}")
+            want = expected.trap
+            if trap.kind is not want.kind or trap.tid != want.tid \
+                    or trap.pc != want.pc or trap.fault_addr != want.fault_addr:
+                mismatches.append(
+                    f"trap mismatch: got {trap!r}, want {want!r}")
+                failure = "trap"
 
         # Partial dumps (minidumps) can only be matched on the words they
-        # retain; a full coredump is matched exactly, everywhere.
+        # retain; a full coredump is matched exactly, everywhere.  Equal
+        # dicts match without a per-word walk; otherwise an absent word
+        # reads 0, so only differing values are mismatches.
+        words = vm.memory.words
+        want_words = expected.memory
         available = getattr(expected, "available", None)
-        for addr in set(replayed.memory) | set(expected.memory):
-            if available is not None and not available(addr):
-                continue
-            got_word = replayed.memory.get(addr, 0)
-            want_word = expected.memory.get(addr, 0)
-            if got_word != want_word:
-                mismatches.append(
-                    f"memory mismatch at {addr:#x}: got {got_word}, "
-                    f"want {want_word}")
-                if len(mismatches) > 20:
-                    mismatches.append("... (more mismatches suppressed)")
-                    break
+        if available is not None or words != want_words:
+            for addr in set(words) | set(want_words):
+                if available is not None and not available(addr):
+                    continue
+                got_word = words.get(addr, 0)
+                want_word = want_words.get(addr, 0)
+                if got_word != want_word:
+                    mismatches.append(
+                        f"memory mismatch at {addr:#x}: got {got_word}, "
+                        f"want {want_word}")
+                    failure = failure or "memory"
+                    if len(mismatches) > 20:
+                        mismatches.append("... (more mismatches suppressed)")
+                        break
 
         want_thread = expected.threads[expected.trap.tid]
-        got_thread = replayed.threads.get(expected.trap.tid)
+        got_thread = vm.threads.get(expected.trap.tid)
         if got_thread is None:
             mismatches.append("failing thread missing from replay")
+            failure = failure or "frame"
+        elif len(got_thread.frames) != len(want_thread.frames):
+            mismatches.append(
+                f"failing thread has {len(got_thread.frames)} frames, "
+                f"want {len(want_thread.frames)}")
+            failure = failure or "frame"
         else:
-            if len(got_thread.frames) != len(want_thread.frames):
-                mismatches.append(
-                    f"failing thread has {len(got_thread.frames)} frames, "
-                    f"want {len(want_thread.frames)}")
-            else:
-                for depth, (got_frame, want_frame) in enumerate(
-                        zip(got_thread.frames, want_thread.frames)):
-                    if (got_frame.function, got_frame.block, got_frame.index) != \
-                            (want_frame.function, want_frame.block,
-                             want_frame.index):
+            for depth, (got_frame, want_frame) in enumerate(
+                    zip(got_thread.frames, want_thread.frames)):
+                bfunc = got_frame.bfunc
+                pc = bfunc.pcs[got_frame.ip]
+                if pc.function != want_frame.function \
+                        or pc.block != want_frame.block \
+                        or pc.index != want_frame.index:
+                    mismatches.append(
+                        f"frame {depth} position mismatch: "
+                        f"{pc} vs {want_frame.pc}")
+                    failure = failure or "frame"
+                    continue
+                reg_slots = bfunc.reg_slots
+                slots = got_frame.slots
+                for reg, want_val in want_frame.regs.items():
+                    slot = reg_slots.get(reg.name)
+                    got_val = slots[slot] if slot is not None else None
+                    if got_val != want_val:
                         mismatches.append(
-                            f"frame {depth} position mismatch: "
-                            f"{got_frame.pc} vs {want_frame.pc}")
-                        continue
-                    for reg, want_val in want_frame.regs.items():
-                        got_val = got_frame.regs.get(reg)
-                        if got_val != want_val:
-                            mismatches.append(
-                                f"frame {depth} register {reg!r}: "
-                                f"got {got_val}, want {want_val}")
-        return ReplayReport(ok=not mismatches, mismatches=mismatches)
+                            f"frame {depth} register {reg!r}: "
+                            f"got {got_val}, want {want_val}")
+                        failure = failure or "register"
+        return ReplayReport(ok=not mismatches, mismatches=mismatches,
+                            failure=failure)

@@ -97,6 +97,9 @@ class SynthesisStats:
     feasible_extensions: int = 0
     replays_attempted: int = 0
     replays_failed: int = 0
+    #: failed replays per class of their first mismatch
+    #: (``ReplayReport.failure``); classes that never failed are absent
+    replays_failed_by_class: Dict[str, int] = field(default_factory=dict)
     suffixes_emitted: int = 0
     exhausted: bool = False
     first_step_infeasible: bool = False
@@ -464,6 +467,8 @@ class ReverseExecutionSynthesizer:
         self.stats.time_replay += time.perf_counter() - phase_start
         if not report.ok:
             self.stats.replays_failed += 1
+            by_class = self.stats.replays_failed_by_class
+            by_class[report.failure] = by_class.get(report.failure, 0) + 1
             return None
         self.stats.suffixes_emitted += 1
         return SynthesizedSuffix(suffix=suffix, report=report)

@@ -127,7 +127,10 @@ class BFunc:
     ``code[i]`` executes the IR instruction at source location
     ``pcs[i]``, which is a preemption point when ``shared[i]``;
     ``block_start[label] + index`` converts an IR position into an
-    instruction pointer.
+    instruction pointer.  ``reg_slots`` maps a register's *name* to its
+    slot: a ``str`` caches its hash, while hashing the :class:`Reg`
+    dataclass is a Python-level call per lookup, and the replayer looks
+    up every register of every snapshot frame.
     """
 
     __slots__ = (
@@ -142,7 +145,7 @@ class BFunc:
         self.name = name
         self.slot_regs = slot_regs
         self.nslots = len(slot_regs)
-        self.reg_slots = {reg: i for i, reg in enumerate(slot_regs)}
+        self.reg_slots = {reg.name: i for i, reg in enumerate(slot_regs)}
         self.param_slots = param_slots
         self.frame_words = frame_words
         self.entry_ip = entry_ip
@@ -154,13 +157,17 @@ class BFunc:
 
 
 class BytecodeProgram:
-    """A fully compiled module: one :class:`BFunc` per IR function."""
+    """A fully compiled module: one :class:`BFunc` per IR function,
+    plus the module's initial global segment (address → word), which
+    every VM of the program copies instead of re-walking the
+    initializers."""
 
-    __slots__ = ("module", "funcs")
+    __slots__ = ("module", "funcs", "global_image")
 
     def __init__(self, module: Module, funcs: Dict[str, BFunc]):
         self.module = module
         self.funcs = funcs
+        self.global_image: Dict[int, int] = module.initial_global_memory()
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +189,10 @@ def _assign_slots(func: Function) -> Tuple[Reg, ...]:
     return tuple(seen)
 
 
-def _operand(reg_slots: Dict[Reg, int], op: Operand) -> Tuple[int, int]:
+def _operand(reg_slots: Dict[str, int], op: Operand) -> Tuple[int, int]:
     if isinstance(op, Imm):
         return (IMM, op.value)
-    return (SLOT, reg_slots[op])
+    return (SLOT, reg_slots[op.name])
 
 
 def compile_module(module: Module) -> BytecodeProgram:
@@ -243,58 +250,58 @@ def _target_ip(func: Function, start: Dict[str, int], label: str) -> int:
     return start[label]
 
 
-def _compile_instr(func: Function, instr: Instr, slots: Dict[Reg, int],
+def _compile_instr(func: Function, instr: Instr, slots: Dict[str, int],
                    start: Dict[str, int], funcs: Dict[str, BFunc],
                    layout: Dict[str, int], single_succ: bool) -> tuple:
     if isinstance(instr, ConstInst):
-        return (OP_CONST, slots[instr.dst], instr.value)
+        return (OP_CONST, slots[instr.dst.name], instr.value)
     if isinstance(instr, GAddrInst):
         # Unknown globals stay a *runtime* error: an unreachable bad
         # gaddr must not poison the whole program.
-        return (OP_GADDR, slots[instr.dst], layout.get(instr.name),
+        return (OP_GADDR, slots[instr.dst.name], layout.get(instr.name),
                 instr.name)
     if isinstance(instr, FrameAddrInst):
-        return (OP_FRAMEADDR, slots[instr.dst], instr.offset)
+        return (OP_FRAMEADDR, slots[instr.dst.name], instr.offset)
     if isinstance(instr, MovInst):
         mode, value = _operand(slots, instr.src)
-        return (OP_MOV, slots[instr.dst], mode, value)
+        return (OP_MOV, slots[instr.dst.name], mode, value)
     if isinstance(instr, BinInst):
         am, av = _operand(slots, instr.a)
         bm, bv = _operand(slots, instr.b)
         return (OP_BIN_BASE + BINARY_OPS.index(instr.op),
-                slots[instr.dst], am, av, bm, bv, instr.op)
+                slots[instr.dst.name], am, av, bm, bv, instr.op)
     if isinstance(instr, CmpInst):
         am, av = _operand(slots, instr.a)
         bm, bv = _operand(slots, instr.b)
         return (OP_CMP_BASE + COMPARE_OPS.index(instr.op),
-                slots[instr.dst], am, av, bm, bv, instr.op)
+                slots[instr.dst.name], am, av, bm, bv, instr.op)
     if isinstance(instr, LoadInst):
         am, av = _operand(slots, instr.addr)
-        return (OP_LOAD, slots[instr.dst], am, av)
+        return (OP_LOAD, slots[instr.dst.name], am, av)
     if isinstance(instr, StoreInst):
         am, av = _operand(slots, instr.addr)
         vm, vv = _operand(slots, instr.value)
         return (OP_STORE, am, av, vm, vv)
     if isinstance(instr, AllocInst):
         sm, sv = _operand(slots, instr.size)
-        return (OP_ALLOC, slots[instr.dst], sm, sv)
+        return (OP_ALLOC, slots[instr.dst.name], sm, sv)
     if isinstance(instr, FreeInst):
         am, av = _operand(slots, instr.addr)
         return (OP_FREE, am, av)
     if isinstance(instr, CallInst):
         args = tuple(_operand(slots, a) for a in instr.args)
-        ret_slot = slots[instr.dst] if instr.dst is not None else -1
+        ret_slot = slots[instr.dst.name] if instr.dst is not None else -1
         # Unknown callees also stay a runtime error.
         return (OP_CALL, funcs.get(instr.callee), instr.callee,
                 ret_slot, instr.dst, args)
     if isinstance(instr, InputInst):
-        return (OP_INPUT, slots[instr.dst])
+        return (OP_INPUT, slots[instr.dst.name])
     if isinstance(instr, OutputInst):
         vm, vv = _operand(slots, instr.value)
         return (OP_OUTPUT, vm, vv)
     if isinstance(instr, SpawnInst):
         args = tuple(_operand(slots, a) for a in instr.args)
-        return (OP_SPAWN, slots[instr.dst], instr.callee, args)
+        return (OP_SPAWN, slots[instr.dst.name], instr.callee, args)
     if isinstance(instr, JoinInst):
         tm, tv = _operand(slots, instr.tid)
         return (OP_JOIN, tm, tv)

@@ -15,9 +15,11 @@ Three driving modes share one dispatch loop (:meth:`VM._leg`):
 * :meth:`VM.run` — scheduler-driven execution (production runs); the
   scheduler is consulted before every instruction.
 * :meth:`VM.step_thread` — externally driven single stepping (the
-  debugger, the replayer's deadlock check).
+  debugger).
 * :meth:`VM.run_leg` — ``count`` consecutive steps of one thread
-  without per-step method dispatch (batched replay legs).
+  without per-step method dispatch (batched replay legs).  It returns
+  the terminal trap without capturing a coredump: the replayer verifies
+  the live machine.
 
 Registers live in slot frames (:class:`BFrame`): a register is a list
 index and the undefined-register check is an ``is None`` test.  Traced
@@ -95,9 +97,13 @@ class RunResult:
     status: RunStatus
     steps: int
     exit_code: int = 0
+    #: the whole guest state at the trap; captured by :meth:`VM.run`
+    #: and :meth:`VM.step_thread`, never by :meth:`VM.run_leg`
     coredump: Optional[Coredump] = None
     trace: Optional[ExecutionTrace] = None
     outputs: List[int] = field(default_factory=list)
+    #: what killed the program; set on every TRAPPED result
+    trap: Optional[Trap] = None
 
     @property
     def trapped(self) -> bool:
@@ -222,7 +228,8 @@ class VM:
         self.module = module
         self.program = program if program is not None \
             else compile_program(module)
-        self.memory = Memory(module, check_bounds=check_bounds)
+        self.memory = Memory(module, self.program.global_image,
+                             check_bounds=check_bounds)
         self.inputs: List[int] = [to_unsigned(v) for v in inputs]
         self.input_cursor = 0
         self.scheduler = scheduler or RandomPreemptScheduler(seed=0)
@@ -303,7 +310,7 @@ class VM:
                 if all(t.status is ThreadStatus.FINISHED
                        for t in threads.values()):
                     return self._exited(0)
-                return self._trapped_deadlock()
+                return self._captured(self._trapped_deadlock())
             shared = False
             if current in runnable:
                 frame = threads[current].frames[-1]
@@ -326,13 +333,14 @@ class VM:
         """Execute one instruction of thread ``tid``.
 
         Returns a terminal :class:`RunResult` if the program exited or
-        trapped, else None.  A thread that is not runnable does not
-        step; callers should consult :meth:`runnable_tids` first.
+        trapped (a trap with its coredump), else None.  A thread that
+        is not runnable does not step; callers should consult
+        :meth:`runnable_tids` first.
         """
         thread = self.threads[tid]
         if thread.status is not ThreadStatus.RUNNABLE:
             return None
-        return self._leg(thread, 1)[1]
+        return self._captured(self._leg(thread, 1)[1])
 
     def run_leg(self, tid: int, count: int) -> Tuple[int, Optional[RunResult]]:
         """Drive up to ``count`` consecutive steps of one runnable
@@ -340,6 +348,10 @@ class VM:
         number of steps executed and a terminal result if the program
         exited or trapped.  Stops early when the thread blocks or
         finishes; the caller inspects ``thread.status``.
+
+        A trapped result carries its ``trap`` but no coredump: the
+        replayer checks the machine itself, and the dump would be a
+        full copy of it that nothing reads.
         """
         return self._leg(self.threads[tid], count)
 
@@ -837,10 +849,15 @@ class VM:
 
     def _trapped(self, trap: Trap) -> RunResult:
         return RunResult(
-            status=RunStatus.TRAPPED, steps=self.steps,
-            coredump=self.capture_coredump(trap),
+            status=RunStatus.TRAPPED, steps=self.steps, trap=trap,
             trace=self.trace, outputs=list(self.outputs),
         )
+
+    def _captured(self, result: Optional[RunResult]) -> Optional[RunResult]:
+        """``result``, with the coredump of its trap attached."""
+        if result is not None and result.trap is not None:
+            result.coredump = self.capture_coredump(result.trap)
+        return result
 
     def capture_coredump(self, trap: Trap) -> Coredump:
         """Snapshot the whole guest state (what production ships to devs)."""

@@ -43,11 +43,15 @@ class Allocation:
 class Memory:
     """Sparse guest memory plus allocator and region metadata."""
 
-    def __init__(self, module: Module, check_bounds: bool = True):
+    def __init__(self, module: Module, image: Dict[int, int],
+                 check_bounds: bool = True):
+        """``image`` is the module's initial global segment
+        (``BytecodeProgram.global_image``, built once per compile); the
+        memory starts as a copy of it."""
         self.module = module
         self.check_bounds = check_bounds
-        self.words: Dict[int, int] = dict(module.initial_global_memory())
-        self.globals_lo = min(self.words) if self.words else 0
+        self.words: Dict[int, int] = dict(image)
+        self.globals_lo = min(image) if image else 0
         self.globals_hi = module.global_end()
         self.heap_cursor = HEAP_BASE
         self.allocations: Dict[int, Allocation] = {}

@@ -48,8 +48,10 @@ class ExecutionTrace:
     The VM records each step as one plain tuple in :attr:`rows`, and
     :class:`TraceEvent` objects are built only when something reads
     :attr:`events` (root-cause analysis, the debugger, tests).  Replay
-    runs traced, but most replays are compatibility probes whose trace
-    nobody reads, so recording a step costs one tuple append.
+    runs traced, once per emitted suffix (and in the debugger and the
+    fuzz oracle; the search's compatibility checks are solver calls),
+    and most verified suffixes' traces are never read, so recording a
+    step costs one tuple append.
     """
 
     def __init__(self):
