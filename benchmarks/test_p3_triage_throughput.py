@@ -8,9 +8,20 @@ process fan-out all get exercised.  The speedup must never change the
 answer: the sharded run buckets byte-identically to the serial run and
 to a plain engine sweep, with identical accuracy metrics.
 
+Two numbers are gated.  ``speedup`` (the no-dedup serial sweep over the
+``jobs=4`` run) is mostly dedup: the sharded run drives only one report
+per program.  ``pool_speedup`` (the ``jobs=1`` service run over the
+``jobs=4`` one, both deduped) is what the worker pool alone pays, and
+must exceed 1 wherever there are two cores to run it on.  Each service
+run is a fraction of a second, so both run :data:`PASSES` times in
+alternating pairs; the gates read the median pair, and the row records
+every pass.
+
 Rows land in ``BENCH_res.json`` under ``triage_throughput``.
 """
 
+import os
+import statistics
 import time
 
 import pytest
@@ -35,6 +46,10 @@ JOBS = 4
 MAX_DEPTH = 8
 MAX_NODES = 300
 MIN_SPEEDUP = 2.0
+#: alternating jobs=1 / jobs=JOBS pairs; the gates read their median
+PASSES = 3
+#: cores this process may run on (the row's ``nproc`` stamp)
+CORES = len(os.sched_getaffinity(0))
 
 
 def _serial_sweep(corpus):
@@ -64,24 +79,31 @@ def test_p3_triage_throughput():
     serial_results, serial_wall = _serial_sweep(corpus)
 
     config = dict(max_depth=MAX_DEPTH, max_nodes=MAX_NODES)
-    service_serial = triage_corpus(
-        corpus, TriageServiceConfig(jobs=1, **config))
-    sharded = triage_corpus(
-        corpus, TriageServiceConfig(jobs=JOBS, **config))
+    pairs = []
+    for index in range(PASSES):
+        jobs_order = (1, JOBS) if index % 2 == 0 else (JOBS, 1)
+        runs = {jobs: triage_corpus(
+                    corpus, TriageServiceConfig(jobs=jobs, **config))
+                for jobs in jobs_order}
+        pairs.append((runs[1], runs[JOBS]))
 
     # Determinism before speed: all three pipelines agree byte-for-byte.
     serial_buckets = [r.bucket for r in serial_results]
-    assert [r.bucket for r in service_serial.results] == serial_buckets
-    assert [r.bucket for r in sharded.results] == serial_buckets
-    assert [r.report_id for r in sharded.results] \
-        == [r.report_id for r in serial_results]
-
     accuracy = bucket_accuracy(serial_results, reports)
-    assert bucket_accuracy(service_serial.results, reports) == accuracy
-    assert bucket_accuracy(sharded.results, reports) == accuracy
+    for run in (run for pair in pairs for run in pair):
+        assert [r.bucket for r in run.results] == serial_buckets
+        assert [r.report_id for r in run.results] \
+            == [r.report_id for r in serial_results]
+        assert bucket_accuracy(run.results, reports) == accuracy
+    sharded = pairs[0][1]
     misbucketed = misbucketed_fraction(sharded.results, reports)
 
-    speedup = serial_wall / sharded.elapsed
+    service_walls = [one.elapsed for one, __ in pairs]
+    sharded_walls = [pool.elapsed for __, pool in pairs]
+    sharded_wall = statistics.median(sharded_walls)
+    speedup = serial_wall / sharded_wall
+    pool_speedup = statistics.median(
+        one / pool for one, pool in zip(service_walls, sharded_walls))
     row = {
         "reports": len(reports),
         "programs": len(corpus.programs),
@@ -90,11 +112,15 @@ def test_p3_triage_throughput():
         "max_depth": MAX_DEPTH,
         "max_nodes": MAX_NODES,
         "serial_wall": round(serial_wall, 3),
-        "service_serial_wall": round(service_serial.elapsed, 3),
-        "sharded_wall": round(sharded.elapsed, 3),
+        "service_serial_wall": round(statistics.median(service_walls), 3),
+        "sharded_wall": round(sharded_wall, 3),
         "serial_reports_per_sec": round(len(reports) / serial_wall, 2),
-        "sharded_reports_per_sec": round(sharded.throughput(), 2),
+        "sharded_reports_per_sec": round(len(reports) / sharded_wall, 2),
         "speedup": round(speedup, 2),
+        "pool_speedup": round(pool_speedup, 2),
+        "passes": PASSES,
+        "pass_service_serial_walls": [round(w, 3) for w in service_walls],
+        "pass_sharded_walls": [round(w, 3) for w in sharded_walls],
         "dedup_hits": sharded.dedup_hits,
         "bucket_accuracy": round(accuracy, 4),
         "misbucketed_fraction": round(misbucketed, 4),
@@ -105,4 +131,9 @@ def test_p3_triage_throughput():
     assert sharded.dedup_hits == len(reports) - len(corpus.programs)
     assert speedup >= MIN_SPEEDUP, (
         f"sharded triage only {speedup:.2f}x over serial "
-        f"(serial {serial_wall:.2f}s, sharded {sharded.elapsed:.2f}s)")
+        f"(serial {serial_wall:.2f}s, sharded {sharded_wall:.2f}s)")
+    if CORES >= 2:
+        assert pool_speedup > 1.0, (
+            f"the jobs={JOBS} pool did not beat jobs=1 on {CORES} cores: "
+            f"median {pool_speedup:.2f}x (jobs=1 {service_walls}, "
+            f"jobs={JOBS} {sharded_walls})")

@@ -23,8 +23,9 @@ function ride on every :class:`~repro.core.rootcause.RootCause` as
 result cache and the daemon journal: cached verdicts re-bucket exactly
 like cold ones).
 
-**Split/merge refinement** (:func:`refine`): a pure, order-independent
-pass over a set of triage verdicts.
+**Split/merge refinement** (:class:`IncrementalRefiner`, folded over
+a whole verdict set by :func:`refine`): pure and order-independent
+over a set of triage verdicts.
 
 * *Split* happens at the signature leaves: evidence-enriched signatures
   separate causes the coarse signature co-bucketed.
@@ -42,10 +43,11 @@ pass over a set of triage verdicts.
   crashing function; ambiguous sites stay in their stack bucket, and
   empty-stack fallbacks (per-fingerprint buckets) are never merged.
 
-The pass is a function of the verdict set only — no coredumps are
-re-parsed — so the batch store writer, the daemon's background
-maintenance hook, and ``res buckets`` all derive the identical
-hierarchy from the same rows.
+The refinement is a function of the verdict set only — no coredumps
+are re-parsed — so the report store (batch and daemon), ``GET
+/buckets`` and ``res triage``'s summary all derive the identical
+hierarchy from the same rows.  A report id is a label, not an
+identity: each filing is its own member with its own refined bucket.
 """
 
 from __future__ import annotations
@@ -204,17 +206,18 @@ def static_evidence(module, coredump) -> Optional[CauseEvidence]:
 
 @dataclass
 class BucketRefinement:
-    """Outcome of one refinement pass over a set of verdicts."""
+    """The refinement of a set of verdicts."""
 
-    #: report_id → final (refined) bucket
-    assignment: Dict[str, Hashable] = field(default_factory=dict)
+    #: member key (the report id unless the caller keyed it) → final
+    #: (refined) bucket
+    assignment: Dict[Hashable, Hashable] = field(default_factory=dict)
     #: JSON-safe hierarchy: family bucket repr → details + leaf members
     hierarchy: Dict[str, dict] = field(default_factory=dict)
     #: pass statistics (merged leaves, attached fallbacks, ...)
     stats: Dict[str, int] = field(default_factory=dict)
 
-    def bucket_of(self, report_id: str, default: Hashable) -> Hashable:
-        return self.assignment.get(report_id, default)
+    def bucket_of(self, key: Hashable, default: Hashable) -> Hashable:
+        return self.assignment.get(key, default)
 
 
 def _is_annotated(bucket: Hashable) -> bool:
@@ -235,115 +238,7 @@ def _fallback_site(bucket: Hashable) -> Optional[Tuple[str, str, bool]]:
     return (bucket[1], bucket[2], not per_fingerprint)
 
 
-def refine(items: Sequence) -> BucketRefinement:
-    """Split/merge refinement over triaged reports (anything with a
-    ``.result`` carrying ``report_id``/``bucket``/``cause``/
-    ``used_fallback`` — :class:`~repro.core.triage_service.TriagedReport`
-    and daemon verdicts both qualify).
-
-    Order-independent and pure: the same verdict set yields the same
-    assignment whatever order (or process) produced it, which is what
-    keeps cold ≡ warm ≡ daemon bucket views byte-identical.
-    """
-    refinement = BucketRefinement()
-
-    # Pass 1 — collect families from explained, unannotated causes,
-    # tracking which signature leaves each *program* contributes.
-    families: Dict[Tuple, Dict[str, dict]] = {}
-    for item in items:
-        result = item.result
-        if result.cause is None or _is_annotated(result.bucket):
-            continue
-        fam = result.cause.family()
-        if fam is None:
-            continue
-        entry = families.setdefault(
-            fam, {"leaves": set(), "per_program": {}})
-        entry["leaves"].add(result.bucket)
-        program = getattr(item, "program_key", "")
-        entry["per_program"].setdefault(program, set()).add(result.bucket)
-
-    # The merge-safety guard: a family key that fails to separate two
-    # causes the signature *did* separate within one program is too
-    # coarse for that family — refuse the merge (conflicted family).
-    mergeable = {
-        fam for fam, entry in families.items()
-        if all(len(leaves) <= 1
-               for leaves in entry["per_program"].values())
-    }
-
-    # Site index for fallback attachment: (trap kind, crashing fn) →
-    # the families that trap there.  Conflicted families still count
-    # as candidates (they make a site ambiguous) but never adopt.
-    by_site: Dict[Tuple[str, str], set] = {}
-    for fam in families:
-        by_site.setdefault((fam[2], fam[3]), set()).add(fam)
-
-    # Pass 2 — assign every report its final bucket.
-    merged_leaves = sum(len(families[fam]["leaves"]) - 1
-                        for fam in mergeable)
-    attached = ambiguous = legacy = 0
-    member_ids: Dict[Hashable, List[str]] = {}
-    leaf_of: Dict[str, Hashable] = {}
-    for item in items:
-        result = item.result
-        final: Hashable = result.bucket
-        if _is_annotated(result.bucket):
-            pass  # developer feedback outranks refinement
-        elif result.cause is not None:
-            fam = result.cause.family()
-            if fam in mergeable:
-                final = ("family",) + fam
-            elif fam is None:
-                legacy += 1  # pre-evidence cause: keep its leaf bucket
-        else:
-            site = _fallback_site(result.bucket)
-            if site is not None and site[2]:
-                candidates = by_site.get((site[0], site[1]), ())
-                if len(candidates) == 1 \
-                        and next(iter(candidates)) in mergeable:
-                    final = ("family",) + next(iter(candidates))
-                    attached += 1
-                elif candidates:
-                    ambiguous += 1
-        refinement.assignment[result.report_id] = final
-        member_ids.setdefault(final, []).append(result.report_id)
-        leaf_of[result.report_id] = result.bucket
-
-    # Hierarchy: every merged family bucket with its leaf membership.
-    for fam in sorted(mergeable, key=repr):
-        bucket = ("family",) + fam
-        ids = member_ids.get(bucket, [])
-        leaves: Dict[str, List[str]] = {}
-        for report_id in ids:
-            leaves.setdefault(repr(leaf_of[report_id]), []).append(report_id)
-        refinement.hierarchy[repr(bucket)] = {
-            "cause_kind": fam[1],
-            "trap_kind": fam[2],
-            "function": fam[3],
-            "skeleton": fam[4],
-            "reports": len(ids),
-            "leaves": {leaf: sorted(members)
-                       for leaf, members in sorted(leaves.items())},
-        }
-
-    refinement.stats = {
-        "families": len(mergeable),
-        "conflicted_families": len(families) - len(mergeable),
-        "merged_leaves": merged_leaves,
-        "attached_fallbacks": attached,
-        "ambiguous_fallbacks": ambiguous,
-        "legacy_causes": legacy,
-        "reports": len(refinement.assignment),
-    }
-    return refinement
-
-
-# ---------------------------------------------------------------------------
-# Incremental refinement (the daemon's background rebucket engine)
-# ---------------------------------------------------------------------------
-
-#: marks a report id the refiner has not assigned yet
+#: marks a member the refiner has not assigned yet
 _UNASSIGNED = object()
 
 
@@ -353,7 +248,8 @@ class _Family:
 
     leaves: set = field(default_factory=set)
     per_program: Dict[str, set] = field(default_factory=dict)
-    members: List[str] = field(default_factory=list)
+    #: member keys
+    members: List[Hashable] = field(default_factory=list)
     #: leaf bucket repr -> member report ids, sorted
     by_leaf: Dict[str, List[str]] = field(default_factory=dict)
     conflicted: bool = False
@@ -364,30 +260,38 @@ class _Family:
 
 
 class IncrementalRefiner:
-    """:func:`refine`, computed one verdict at a time.
+    """The split/merge refinement, computed one verdict at a time.
 
     The report store and ``GET /buckets`` show the refined buckets of
-    a verdict set that only grows; re-running the full split/merge pass
-    over all history per new verdict is O(history) each time and
-    O(history²) over a daemon's life.  This class maintains the exact
-    refinement state incrementally: :meth:`add` folds one verdict in —
-    O(its family) amortized — and :meth:`refinement` resolves the few
-    dirty fallback sites and returns a :class:`BucketRefinement` equal
-    (assignment, hierarchy, and stats) to ``refine(all items so far)``
-    when report ids are unique.  :meth:`take_changed` then names the
-    report ids whose assignment changed, so a caller that keeps derived
-    views (the report store's encoded rows) updates only those.
+    a verdict set that only grows; re-running a split/merge pass over
+    all history per new verdict is O(history) each time and
+    O(history²) over a daemon's life.  This class keeps the refinement
+    state instead: :meth:`add` folds one verdict in — O(its family)
+    amortized — and :meth:`refinement` resolves the few dirty fallback
+    sites and returns the :class:`BucketRefinement` of everything
+    added so far.  :meth:`take_changed` then names the members whose
+    assignment changed, so a caller that keeps derived views (the
+    report store's encoded rows) updates only those.  :func:`refine`
+    is this class folded over a whole verdict set.
 
-    The equivalence argument mirrors the batch pass's own structure:
-    family mergeability is *monotone* (leaf sets only grow, so a family
-    can become conflicted but never un-conflict), and a fallback site's
+    Each verdict is a member under a key the caller passes (the report
+    store passes its row order key), its report id by default.  A
+    report id is a label: members may share one (a client filing a
+    report id again is another filing, with its own refined bucket),
+    and the hierarchy lists the id once per member.
+
+    Why one verdict at a time gives the whole-set answer: family
+    mergeability is *monotone* (leaf sets only grow, so a family can
+    become conflicted but never un-conflict), and a fallback site's
     attachment depends only on its candidate-family set and their
     mergeability — both tracked here, with affected sites re-resolved
     lazily.  An assignment therefore changes only when a family turns
     conflicted (its members revert to their leaves) or when a fallback
     site is re-resolved (its rows attach to or detach from a family).
-    ``tests/test_fleet.py`` re-proves equality against :func:`refine`
-    over shuffled insertion orders.
+    ``tests/test_store.py`` keeps the two-pass definition (collect the
+    families, then assign every member) as the reference this class is
+    checked against, over shuffled insertion orders
+    (``tests/test_fleet.py``) and after every report-store write.
 
     Hierarchy entries are rebuilt by replacement, never mutated, so a
     returned entry stays valid (and a caller may cache its encoding
@@ -399,9 +303,9 @@ class IncrementalRefiner:
         self._fams: Dict[Tuple, _Family] = {}
         #: (trap kind, crashing fn) → families trapping there
         self._site_candidates: Dict[Tuple[str, str], set] = {}
-        #: (trap kind, crashing fn) → attachable fallback (rid, leaf)
+        #: (trap kind, crashing fn) → attachable fallback (key, leaf)
         self._fallback_rows: Dict[Tuple[str, str],
-                                  List[Tuple[str, Hashable]]] = {}
+                                  List[Tuple[Hashable, Hashable]]] = {}
         #: the same rows as leaf bucket repr → report ids, sorted
         self._fallback_by_leaf: Dict[Tuple[str, str],
                                      Dict[str, List[str]]] = {}
@@ -411,26 +315,35 @@ class IncrementalRefiner:
         self._site_resolved: Dict[Tuple[str, str], int] = {}
         self._site_stats: Dict[Tuple[str, str], Tuple[int, int]] = {}
         self._dirty_sites: set = set()
-        self._assignment: Dict[str, Hashable] = {}
-        self._leaf_of: Dict[str, Hashable] = {}
-        #: report ids whose assignment changed since take_changed()
+        self._assignment: Dict[Hashable, Hashable] = {}
+        self._leaf_of: Dict[Hashable, Hashable] = {}
+        #: member keys whose assignment changed since take_changed()
         self._changed: set = set()
         self._attached = 0
         self._ambiguous = 0
         self._legacy = 0
 
-    def _assign(self, rid: str, bucket: Hashable) -> None:
-        if self._assignment.get(rid, _UNASSIGNED) != bucket:
-            self._assignment[rid] = bucket
-            self._changed.add(rid)
+    def _assign(self, key: Hashable, bucket: Hashable) -> None:
+        if self._assignment.get(key, _UNASSIGNED) != bucket:
+            self._assignment[key] = bucket
+            self._changed.add(key)
 
-    def add(self, item) -> None:
-        """Fold one verdict in (same duck type :func:`refine` takes)."""
+    def add(self, item, key: Optional[Hashable] = None) -> None:
+        """Fold one verdict in as the member ``key`` (its report id when
+        None).  ``item`` is anything with a ``.result`` carrying
+        ``report_id``/``bucket``/``cause``, and optionally a
+        ``program_key`` — :class:`~repro.core.triage_service.TriagedReport`
+        and daemon verdicts both qualify.  A key added twice raises
+        ``ValueError``."""
         result = item.result
         rid = result.report_id
+        if key is None:
+            key = rid
+        if key in self._leaf_of:
+            raise ValueError(f"refinement member {key!r} added twice")
         bucket = result.bucket
-        self._leaf_of[rid] = bucket
-        self._assign(rid, bucket)
+        self._leaf_of[key] = bucket
+        self._assign(key, bucket)
         if _is_annotated(bucket):
             return  # developer feedback outranks refinement
         if result.cause is not None:
@@ -444,7 +357,7 @@ class IncrementalRefiner:
                 family = self._fams[fam] = _Family()
                 self._site_candidates.setdefault(site, set()).add(fam)
                 self._dirty_sites.add(site)
-            family.members.append(rid)
+            family.members.append(key)
             bisect.insort(family.by_leaf.setdefault(repr(bucket), []), rid)
             family.leaves.add(bucket)
             family.entry = None
@@ -459,12 +372,12 @@ class IncrementalRefiner:
                     self._assign(member, self._leaf_of[member])
                 self._dirty_sites.add(site)
             elif not family.conflicted:
-                self._assign(rid, ("family",) + fam)
+                self._assign(key, ("family",) + fam)
             return
         site_info = _fallback_site(bucket)
         if site_info is not None and site_info[2]:
             site = (site_info[0], site_info[1])
-            self._fallback_rows.setdefault(site, []).append((rid, bucket))
+            self._fallback_rows.setdefault(site, []).append((key, bucket))
             bisect.insort(self._fallback_by_leaf.setdefault(site, {})
                           .setdefault(repr(bucket), []), rid)
             self._dirty_sites.add(site)
@@ -482,8 +395,8 @@ class IncrementalRefiner:
         # resolution need an assignment.
         start = self._site_resolved.get(site, 0) \
             if target == old_target else 0
-        for rid, leaf in rows[start:]:
-            self._assign(rid, leaf if target is None
+        for key, leaf in rows[start:]:
+            self._assign(key, leaf if target is None
                          else ("family",) + target)
         self._site_resolved[site] = len(rows)
         attached = len(rows) if target is not None else 0
@@ -524,9 +437,8 @@ class IncrementalRefiner:
         }
 
     def refinement(self) -> BucketRefinement:
-        """The refinement over everything added so far — equal to
-        ``refine(items)``; costs the dirty sites plus the stale
-        hierarchy entries, not the full history."""
+        """The refinement over everything added so far; costs the dirty
+        sites plus the stale hierarchy entries, not the full history."""
         for site in self._dirty_sites:
             self._resolve_site(site)
         self._dirty_sites.clear()
@@ -552,8 +464,25 @@ class IncrementalRefiner:
                                 hierarchy=hierarchy, stats=stats)
 
     def take_changed(self) -> set:
-        """The report ids whose assignment changed since the last call
-        (new ids included).  Call it after :meth:`refinement`, which
-        resolves the pending fallback sites."""
+        """The member keys whose assignment changed since the last call
+        (new members included).  Call it after :meth:`refinement`,
+        which resolves the pending fallback sites."""
         changed, self._changed = self._changed, set()
         return changed
+
+
+def refine(items: Sequence) -> BucketRefinement:
+    """The split/merge refinement of a whole verdict set:
+    :class:`IncrementalRefiner` folded over ``items``, each the member
+    under its report id — so the ids must be unique (``ValueError``
+    otherwise; a :class:`~repro.core.triage_service.TriageCorpus`
+    guarantees it for a batch run).
+
+    Order-independent and pure: the same verdict set yields the same
+    assignment whatever order (or process) produced it, which is what
+    keeps cold ≡ warm ≡ daemon bucket views byte-identical.
+    """
+    refiner = IncrementalRefiner()
+    for item in items:
+        refiner.add(item)
+    return refiner.refinement()

@@ -96,24 +96,26 @@ def synthesize_result(report: BugReport, cause: Optional[RootCause],
         cause=None, used_fallback=True, exploitable=exploitable)
 
 
+#: extra suffixes a drive consumes after its cause settles, hunting
+#: taint evidence only (a strong cause often appears before the tainted
+#: input enters the horizon — stopping there made ``exploitable`` a
+#: dead flag for memory-safety traps); part of the cache key
+TAINT_SUFFIXES = 8
+
+
 class TriageEngine:
     """Buckets bug reports by RES-derived root cause."""
 
     def __init__(self, module: Module, config: Optional[RESConfig] = None,
                  annotations: Optional[List[TriageAnnotation]] = None,
                  stack_depth: int = 8, max_suffixes: int = 128,
-                 taint_suffixes: int = 8, solver: Optional[Solver] = None):
+                 solver: Optional[Solver] = None):
         self.module = module
         self.config = config or RESConfig(max_depth=24, max_nodes=4000)
         self.annotations = annotations or []
         self.stack_depth = stack_depth
         #: suffix budget while hunting the root cause
         self.max_suffixes = max_suffixes
-        #: extra suffixes consumed after the cause settles, hunting
-        #: taint evidence only (a strong cause often appears before the
-        #: tainted input enters the horizon — stopping there made
-        #: ``exploitable`` a dead flag for memory-safety traps)
-        self.taint_suffixes = taint_suffixes
         #: one solver shared across every report this engine triages —
         #: its exact caches (delta verdicts, residual components) are
         #: sound across reports of the same module, and its component
@@ -137,7 +139,8 @@ class TriageEngine:
         (identical stopping rule to :func:`find_root_cause`, so buckets
         are unchanged) and the §3.1 exploitability flag (the same taint
         evidence ``classify_with_res`` uses, scanned across up to
-        ``taint_suffixes`` additional suffixes once the cause settles).
+        :data:`TAINT_SUFFIXES` additional suffixes once the cause
+        settles).
         """
         from repro.core.exploitability import suffix_has_tainted_store
 
@@ -172,7 +175,7 @@ class TriageEngine:
                 else:
                     extra += 1
                 if cause is not None and (exploitable
-                                          or extra >= self.taint_suffixes):
+                                          or extra >= TAINT_SUFFIXES):
                     break
         finally:
             gen.close()
@@ -222,7 +225,7 @@ class TriageEngine:
         return res_config_fingerprint(
             self.config,
             max_suffixes=self.max_suffixes,
-            taint_suffixes=self.taint_suffixes,
+            taint_suffixes=TAINT_SUFFIXES,
             solver_max_enum=self.solver.max_enum,
             solver_max_nodes=self.solver.max_nodes)
 

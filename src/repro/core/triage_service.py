@@ -26,7 +26,10 @@ batch over a known corpus has:
   report store on disk is atomically rewritten once
   :data:`STORE_FLUSH_EVERY` verdicts have landed since the last write,
   so an operator can watch buckets fill while the batch is running and
-  an interrupted run leaves a readable partial store behind;
+  an interrupted run leaves a readable partial store behind.  The
+  store is rendered by one :class:`StoreView` (the daemon's store too),
+  which refines buckets one verdict at a time through the one
+  :class:`~repro.core.bucketing.IncrementalRefiner`;
 * **warm start** — with a ``cache_dir``, the driver durably appends
   every synthesized verdict to a cross-run
   :class:`repro.core.rescache.ResultCache` as its group lands, and the
@@ -82,13 +85,12 @@ from repro.core.rescache import (
     res_config_fingerprint,
 )
 from repro.core.triage import (
+    TAINT_SUFFIXES,
     BucketAgreement,
     BugReport,
     TriageAnnotation,
     TriageEngine,
     TriageResult,
-    bucket_accuracy,
-    misbucketed_fraction,
     synthesize_result,
 )
 
@@ -132,11 +134,16 @@ class TriageCorpus:
     entries: List[CorpusEntry]
 
     def __post_init__(self) -> None:
+        seen = set()
         for entry in self.entries:
+            report_id = entry.report.report_id
             if entry.program_key not in self.programs:
                 raise ReproError(
-                    f"corpus entry {entry.report.report_id!r} references "
+                    f"corpus entry {report_id!r} references "
                     f"unknown program {entry.program_key!r}")
+            if report_id in seen:
+                raise ReproError(f"corpus repeats report id {report_id!r}")
+            seen.add(report_id)
 
     @property
     def reports(self) -> List[BugReport]:
@@ -252,9 +259,8 @@ class TriageServiceConfig:
     stack_depth: int = 8
     incremental: bool = True
     annotations: Optional[List[TriageAnnotation]] = None
-    #: engine drive budgets (part of the warm-start cache key)
+    #: engine drive budget (part of the warm-start cache key)
     max_suffixes: int = 128
-    taint_suffixes: int = 8
     #: persistent JSON report store (None disables the store)
     store_path: Optional[str] = None
     #: cross-run result cache directory: verdicts are read from it
@@ -285,7 +291,7 @@ class TriageServiceConfig:
         return res_config_fingerprint(
             self.res_config(),
             max_suffixes=self.max_suffixes,
-            taint_suffixes=self.taint_suffixes,
+            taint_suffixes=TAINT_SUFFIXES,
             solver_max_enum=solver.max_enum,
             solver_max_nodes=solver.max_nodes)
 
@@ -618,8 +624,7 @@ class StreamingTriage:
             engine = TriageEngine(spec.compile(), config.res_config(),
                                   annotations=config.annotations,
                                   stack_depth=config.stack_depth,
-                                  max_suffixes=config.max_suffixes,
-                                  taint_suffixes=config.taint_suffixes)
+                                  max_suffixes=config.max_suffixes)
             if self.chain.enabled:
                 # Warm engines start primed: a prior run's exported
                 # residual-component cache is exact (pure function of
@@ -806,8 +811,10 @@ class TriageStore:
     either the previous document or the new one.  The view re-encodes
     only what changed since the previous write, so a write costs the
     changed rows plus one join of cached text, not a rebuild of the
-    history; the document is byte-identical to the :func:`store_payload`
-    reference over the same verdicts.
+    history.  The view is the only encoder of the document:
+    :func:`store_payload` renders through one too, and
+    ``tests/test_store.py`` checks every write against a from-scratch
+    reference.
     """
 
     def __init__(self, config: TriageServiceConfig, view: "StoreView"):
@@ -893,23 +900,24 @@ class StoreView:
     :meth:`add` inserts a verdict as the row at its order key (the
     daemon's :attr:`IntakeJob.order_key`, the batch driver's corpus
     index), so rows keep submission order without sorting the history.
-    Refined buckets come from an :class:`IncrementalRefiner`; after
-    each read it names the report ids whose assignment changed (a
-    family turned conflicted, or a fallback site was re-resolved), and
-    only those rows move between buckets and re-encode.  The view
-    caches the encoded text of every row, of every bucket's id list and
-    of every family's hierarchy entry, and keeps the accuracy metrics
-    as :class:`BucketAgreement` counts, so :meth:`render` costs the
-    changed rows and the buckets and families they touch plus one join
-    — and returns exactly ``json.dumps(store_payload(...), indent=1,
-    sort_keys=True) + "\n"`` over the same rows.  A batch view scores
-    and counts against its whole ``corpus``; without one (the daemon),
-    the rows are the corpus.
+    Refined buckets come from an :class:`IncrementalRefiner` whose
+    members are the rows, keyed by the same order key; after each read
+    it names the rows whose assignment changed (a family turned
+    conflicted, or a fallback site was re-resolved), and only those
+    rows move between buckets and re-encode.  The view caches the
+    encoded text of every row, of every bucket's id list and of every
+    family's hierarchy entry, and keeps the accuracy metrics as
+    :class:`BucketAgreement` counts, so :meth:`render` costs the changed
+    rows and the buckets and families they touch plus one join.  A
+    batch view scores and counts against its whole ``corpus``; without
+    one (the daemon), the rows are the corpus.
 
-    Report ids are unique in every corpus this repository builds; if
-    two rows share one (a client re-using an id), the store document
-    of such rows is defined only by the :func:`store_payload`
-    reference, and :meth:`render` returns that instead.
+    A report id is a label, not a row identity: a daemon client may
+    file one id again (a re-submission under ``--force``, a second
+    watch of the same directory), and each filing is its own row with
+    its own refined bucket.  ``buckets`` and the hierarchy leaves list
+    the id once per filing, ``results``, ``corpus.entries`` and the
+    pass stats count filings, and accuracy scores rows.
 
     Every method takes :attr:`lock` (re-entrant: a caller may hold it
     across an ``add`` and a render, as the daemon's store write does).
@@ -929,9 +937,7 @@ class StoreView:
         self._refiner = IncrementalRefiner()
         self._keys: list = []
         self._rows: List[_Row] = []
-        self._by_id: Dict[str, List[_Row]] = {}
-        #: rows added since the last settle, not yet in a bucket
-        self._new: List[_Row] = []
+        self._by_key: Dict[Hashable, _Row] = {}
         #: rows whose text went stale since the last render
         self._stale: List[_Row] = []
         self._buckets: Dict[str, _Members] = {}
@@ -945,23 +951,19 @@ class StoreView:
         self._triaged = 0
         self._dedup_hits = 0
         self._cache_hits = 0
-        self._duplicate_ids = False
         #: rows encoded by render() so far (the cost of the writes)
         self.rows_encoded = 0
 
     def add(self, key, item: TriagedReport, truth: Optional[str]) -> None:
         """Fold one settled verdict in as the row at ``key``; ``truth``
-        is its ground-truth label (None when unlabeled)."""
+        is its ground-truth label (None when unlabeled).  A key added
+        twice raises ``ValueError``."""
         with self.lock:
-            row = _Row(key, item, truth)
-            same_id = self._by_id.setdefault(item.result.report_id, [])
-            self._duplicate_ids = self._duplicate_ids or bool(same_id)
-            same_id.append(row)
+            self._refiner.add(item, key)
+            row = self._by_key[key] = _Row(key, item, truth)
             index = bisect.bisect(self._keys, key)
             self._keys.insert(index, key)
             self._rows.insert(index, row)
-            self._refiner.add(item)
-            self._new.append(row)
             raw = self._raw_buckets.get(row.raw)
             if raw is None:
                 raw = self._raw_buckets[row.raw] = _Members(row.raw)
@@ -973,17 +975,12 @@ class StoreView:
             self._triaged += item.dedup_of is None and not item.cached
 
     def _settle(self) -> BucketRefinement:
-        """File every row under its current refined bucket: the rows
-        added since the last settle, and the rows of every report id
-        whose assignment changed."""
+        """File every row whose assignment changed since the last settle
+        (the rows added since then included) under its refined
+        bucket."""
         refinement = self._refiner.refinement()
-        assignment = refinement.assignment
-        for row in self._new:
-            self._place(row, assignment[row.item.result.report_id])
-        self._new = []
-        for rid in self._refiner.take_changed():
-            for row in self._by_id[rid]:
-                self._place(row, assignment[rid])
+        for key in self._refiner.take_changed():
+            self._place(self._by_key[key], refinement.assignment[key])
         return refinement
 
     def _place(self, row: _Row, bucket: Hashable) -> None:
@@ -1017,9 +1014,6 @@ class StoreView:
         with self.lock:
             refinement = self._settle()
             stale, self._stale = self._stale, []
-            if self._duplicate_ids:
-                return self._render_reference(complete, interrupted,
-                                              elapsed)
             for row in stale:
                 row.text = _dump(_store_row(row.item, row.name), 2)
             self.rows_encoded += len(stale)
@@ -1066,24 +1060,6 @@ class StoreView:
                     self._dedup_hits, self._cache_hits), 1),
             ]
             return _dump_object(members, 0) + "\n"
-
-    def _render_reference(self, complete: bool, interrupted: bool,
-                          elapsed: float) -> str:
-        """:func:`store_payload` over the rows, encoded whole."""
-        corpus = self._corpus or TriageCorpus(
-            programs=dict.fromkeys(self._programs),
-            entries=[CorpusEntry(
-                report=BugReport(report_id=row.item.result.report_id,
-                                 coredump=None, true_cause=row.truth),
-                program_key=row.item.program_key) for row in self._rows])
-        result = TriageServiceResult(
-            reports=[row.item for row in self._rows], elapsed=elapsed,
-            triaged=self._triaged, dedup_hits=self._dedup_hits,
-            cache_hits=self._cache_hits, interrupted=interrupted)
-        self.rows_encoded += len(self._rows)
-        return json.dumps(store_payload(result, corpus, self.config,
-                                        complete=complete),
-                          indent=1, sort_keys=True) + "\n"
 
     def buckets_payload(self) -> dict:
         """The ``GET /buckets`` document: refined and raw buckets (ids
@@ -1206,59 +1182,20 @@ def refined_results(reports: Sequence[TriagedReport]
 
 def store_payload(result: TriageServiceResult, corpus: TriageCorpus,
                   config: TriageServiceConfig, complete: bool) -> dict:
-    """The report-store document: refined buckets → report ids,
-    per-report rows (refined + raw leaf bucket), the bucket hierarchy,
-    accuracy vs. ground truth (labeled subset only), and timing.
-
-    The reference definition: it rebuilds everything from all rows
-    (O(history)).  :class:`StoreView` renders the same bytes
-    incrementally and is what :class:`TriageStore` writes."""
-    refined, refinement = refined_results(result.reports)
-    refined_by_id = {res.report_id: res for res in refined}
-    buckets: Dict[str, List[str]] = {}
-    for res in refined:
-        buckets.setdefault(repr(res.bucket), []).append(res.report_id)
-    rows = [_store_row(item,
-                       repr(refined_by_id[item.result.report_id].bucket))
-            for item in result.reports]
-    payload = {
-        "complete": complete,
-        "interrupted": result.interrupted,
-        "config": _config_section(config),
-        "corpus": {
-            "entries": len(corpus.entries),
-            "programs": len(corpus.programs),
-            "labeled": corpus.labeled_count(),
-        },
-        "buckets": buckets,
-        "results": rows,
-        "timing": _timing_section(result.elapsed, len(result.reports),
-                                  result.triaged, result.dedup_hits,
-                                  result.cache_hits),
-        "bucketing": {
-            "hierarchy": refinement.hierarchy,
-            "stats": refinement.stats,
-        },
-    }
-    if corpus.labeled_count() >= 2 and result.reports:
-        done_ids = {r.result.report_id for r in result.reports}
-        reports = [e.report for e in corpus.entries
-                   if e.report.report_id in done_ids]
-        # Accuracy is scored on the *refined* buckets (they are what
-        # the store files reports under) with dedup children excluded
-        # from pair counting — a filed duplicate copies its
-        # representative's verdict verbatim, so its pairs would
-        # double-count the representative.
-        dedup_children = {r.result.report_id for r in result.reports
-                          if r.dedup_of is not None}
-        payload["accuracy"] = {
-            "bucket_accuracy": round(
-                bucket_accuracy(refined, reports,
-                                exclude=dedup_children), 4),
-            "misbucketed_fraction": round(
-                misbucketed_fraction(refined, reports), 4),
-        }
-    return payload
+    """The report-store document of a run, parsed: ``result.reports``
+    folded into a :class:`StoreView` in order, labelled from
+    ``corpus`` — the document :class:`TriageStore` writes for the same
+    verdicts.  Refined buckets → report ids, per-report rows (refined
+    + raw leaf bucket), the bucket hierarchy, accuracy vs. ground
+    truth (labeled subset only), and timing."""
+    labels = {entry.report.report_id: entry.report.true_cause
+              for entry in corpus.entries}
+    view = StoreView(config, corpus)
+    for index, item in enumerate(result.reports):
+        view.add(index, item, labels.get(item.result.report_id))
+    return json.loads(view.render(complete=complete,
+                                  interrupted=result.interrupted,
+                                  elapsed=result.elapsed))
 
 
 #: per-row fields that describe the *run* (wall clock, cache

@@ -1,16 +1,15 @@
-"""Control-flow-graph analyses used by the backward search.
+"""Control-flow and call graphs for the backward baselines.
 
-RES navigates the CFG *backward* (paper §2.3), so the central artifact
-here is the predecessor map plus reachability queries that let the
-breadcrumb layer prune candidates ("can block A reach block B in at
-most k branches?").
+Backward navigation walks the CFG against its edges (paper §2.3), so
+the artifacts here are a function's predecessor map and the module's
+direct call sites; the static slicer and the weakest-precondition
+baseline walk them.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ir.instructions import CallInst, Instr, SpawnInst
 from repro.ir.module import Function, Module
@@ -35,65 +34,6 @@ class CFG:
     def successors(self, label: str) -> List[str]:
         return list(self._succs[label])
 
-    def reachable_from_entry(self) -> Set[str]:
-        return self._bfs({self.function.entry}, self._succs)
-
-    def backward_reachable(self, label: str) -> Set[str]:
-        """Blocks from which ``label`` is reachable (including itself)."""
-        return self._bfs({label}, self._preds)
-
-    def reaches_within(self, src: str, dst: str, max_steps: int) -> bool:
-        """True if ``dst`` is reachable from ``src`` in ≤ ``max_steps`` edges."""
-        frontier = {src}
-        if src == dst:
-            return True
-        for _ in range(max_steps):
-            nxt: Set[str] = set()
-            for label in frontier:
-                nxt.update(self._succs[label])
-            if dst in nxt:
-                return True
-            frontier = nxt
-            if not frontier:
-                return False
-        return False
-
-    @staticmethod
-    def _bfs(seeds: Set[str], edges: Dict[str, List[str]]) -> Set[str]:
-        seen = set(seeds)
-        queue = deque(seeds)
-        while queue:
-            label = queue.popleft()
-            for nxt in edges[label]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return seen
-
-    def dominators(self) -> Dict[str, FrozenSet[str]]:
-        """Classic iterative dominator sets (entry dominates everything)."""
-        labels = list(self.function.blocks)
-        entry = self.function.entry
-        universe = frozenset(labels)
-        dom: Dict[str, FrozenSet[str]] = {label: universe for label in labels}
-        dom[entry] = frozenset([entry])
-        changed = True
-        while changed:
-            changed = False
-            for label in labels:
-                if label == entry:
-                    continue
-                preds = self._preds[label]
-                if preds:
-                    meet = frozenset.intersection(*(dom[p] for p in preds))
-                else:
-                    meet = frozenset()
-                new = meet | {label}
-                if new != dom[label]:
-                    dom[label] = new
-                    changed = True
-        return dom
-
 
 class CallGraph:
     """Module-level direct call/spawn graph.
@@ -108,7 +48,6 @@ class CallGraph:
         self._callers: Dict[str, List[Tuple[str, str, int]]] = {
             name: [] for name in module.functions
         }
-        self._callees: Dict[str, Set[str]] = {name: set() for name in module.functions}
         for fname, func in module.functions.items():
             for label, idx, instr in func.iter_instrs():
                 callee = _callee_of(instr)
@@ -116,28 +55,10 @@ class CallGraph:
                     continue
                 if callee in self._callers:
                     self._callers[callee].append((fname, label, idx))
-                    self._callees[fname].add(callee)
 
     def call_sites_of(self, callee: str) -> List[Tuple[str, str, int]]:
         """``(function, block, index)`` of every direct call/spawn of ``callee``."""
         return list(self._callers.get(callee, []))
-
-    def callees_of(self, caller: str) -> Set[str]:
-        return set(self._callees.get(caller, set()))
-
-    def may_recurse(self, name: str) -> bool:
-        """True if ``name`` can reach itself through the call graph."""
-        seen: Set[str] = set()
-        stack = list(self._callees.get(name, set()))
-        while stack:
-            current = stack.pop()
-            if current == name:
-                return True
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(self._callees.get(current, set()))
-        return False
 
 
 def _callee_of(instr: Instr) -> Optional[str]:

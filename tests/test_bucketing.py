@@ -5,7 +5,11 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.core.bucketing import refine, static_evidence
+from repro.core.bucketing import (
+    IncrementalRefiner,
+    refine,
+    static_evidence,
+)
 from repro.core.rootcause import CauseEvidence, RootCause
 from repro.core.triage import TriageResult
 from repro.fuzz.triage_corpus import build_labeled_corpus
@@ -167,3 +171,28 @@ def test_refine_is_order_independent():
     assert forward.assignment == backward.assignment
     assert forward.hierarchy == backward.hierarchy
     assert forward.stats == backward.stats
+
+
+def test_refiner_members_are_keys_and_an_id_is_a_label():
+    """Members are the keys the caller passes: one report id filed
+    under two keys is two filings (each assigned, the id listed once
+    per filing), while a key added twice — and so a report id repeated
+    in :func:`refine` — is refused."""
+    a = _explained("a", _cause(pc_block="b1"), program="p1")
+    b = _explained("b", _cause(pc_block="b2"), program="p2")
+    refiner = IncrementalRefiner()
+    for key, item in enumerate([a, b, a]):
+        refiner.add(item, key)
+    refinement = refiner.refinement()
+    assert sorted(refinement.assignment) == [0, 1, 2]
+    assert refiner.take_changed() == {0, 1, 2}
+    (family, entry), = refinement.hierarchy.items()
+    assert {repr(refinement.bucket_of(key, None)) for key in range(3)} \
+        == {family}
+    assert entry["reports"] == 3
+    assert sorted(sum(entry["leaves"].values(), [])) == ["a", "a", "b"]
+    assert refinement.stats["reports"] == 3
+    with pytest.raises(ValueError, match="added twice"):
+        refiner.add(b, 1)
+    with pytest.raises(ValueError, match="'a' added twice"):
+        refine([a, b, a])

@@ -359,6 +359,28 @@ def test_triage_corpus_with_missing_coredump_file(tmp_path, capsys):
     assert "missing coredump" in capsys.readouterr().err
 
 
+def test_triage_corpus_repeating_a_report_id(tmp_path, capsys):
+    """A batch corpus files each report once: a manifest naming one
+    report id twice fails with one line before any search runs."""
+    corpus_dir = tmp_path / "corpus"
+    (corpus_dir / "cores").mkdir(parents=True)
+    (corpus_dir / "programs").mkdir()
+    (corpus_dir / "programs" / "p.minic").write_text(
+        FIGURE1_OVERFLOW.source)
+    (corpus_dir / "cores" / "c.json").write_text(
+        FIGURE1_OVERFLOW.trigger().to_json())
+    entry = {"report_id": "core-1", "program": "p", "true_cause": None,
+             "core": "cores/c.json"}
+    (corpus_dir / "manifest.json").write_text(json.dumps({
+        "programs": {"p": {"name": "p", "file": "programs/p.minic"}},
+        "entries": [entry, entry],
+    }))
+    code = main(["triage", "--corpus-dir", str(corpus_dir)])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert err == "res: error: corpus repeats report id 'core-1'\n"
+
+
 def test_triage_corrupt_manifest_json(tmp_path, capsys):
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()

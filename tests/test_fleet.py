@@ -7,8 +7,8 @@ The load-bearing guarantees, in the order the ISSUE states them:
   membership changes;
 * **incremental rebucket** — the daemon's persistent
   :class:`IncrementalRefiner` produces the *same* assignment,
-  hierarchy, and stats as the batch :func:`refine` pass, whatever
-  order the verdicts settle in;
+  hierarchy, and stats as the two-pass reference refinement
+  (``tests/test_store.py``), whatever order the verdicts settle in;
 * **equivalence** — a drained fleet's report store is byte-identical
   under ``verdict_view`` to a single-node batch ``res triage`` run,
   cold and warm, for the 1×4 and 3×2 topologies;
@@ -36,7 +36,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core.bucketing import IncrementalRefiner, refine
+from repro.core.bucketing import IncrementalRefiner
 from repro.core.triage_service import (
     TriageServiceConfig,
     store_payload,
@@ -55,6 +55,8 @@ from repro.service.client import (
 )
 from repro.service.jobs import JobJournal, journal_file_for
 from repro.service.ring import HashRing
+
+from test_store import reference_refinement
 
 SRC_DIR = Path(repro.__file__).resolve().parents[1]
 
@@ -140,7 +142,7 @@ def test_fleet_targets_round_robin_rotation():
 
 
 # ---------------------------------------------------------------------------
-# Incremental rebucket == batch refine, any settle order
+# Incremental rebucket == the two-pass reference, any settle order
 # ---------------------------------------------------------------------------
 
 def _refinement_views(refinement, items):
@@ -151,10 +153,15 @@ def _refinement_views(refinement, items):
     return assignment, refinement.hierarchy, refinement.stats
 
 
+def _reference_views(items):
+    return _refinement_views(reference_refinement(
+        [(item.result.report_id, item) for item in items]), items)
+
+
 def test_incremental_refiner_matches_batch_any_order(batch):
     result, __ = batch
     items = list(result.reports)
-    reference = _refinement_views(refine(items), items)
+    reference = _reference_views(items)
     orders = [items, list(reversed(items))]
     for seed in (7, 23):
         shuffled = list(items)
@@ -173,7 +180,7 @@ def test_incremental_refiner_stable_under_interleaved_reads(batch):
     tick does) must not perturb the final state."""
     result, __ = batch
     items = list(result.reports)
-    reference = _refinement_views(refine(items), items)
+    reference = _reference_views(items)
     refiner = IncrementalRefiner()
     for item in items:
         refiner.add(item)

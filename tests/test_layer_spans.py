@@ -4,7 +4,8 @@
 wrapping the methods and functions its ``LAYERS`` and ``FUNCTIONS``
 tables name, looked up by name.  A rename in ``src/`` would break only
 the next traced run (untraced runs never install the wrappers), so
-this test installs them in a subprocess and drives one small search.
+this test installs them in a subprocess, drives one small search, and
+refines a few verdicts the way ``res triage`` does.
 """
 
 import json
@@ -43,7 +44,19 @@ dump = FIGURE1_OVERFLOW.trigger()
 res = ReverseExecutionSynthesizer(FIGURE1_OVERFLOW.module, dump,
                                   RESConfig(max_depth=8, max_nodes=300))
 emitted = sum(1 for _ in res.suffixes())
+
+from repro.core.triage import TriageResult
+from repro.core.triage_service import TriagedReport, refined_results
+
+site = ("stack", "assert", "main", ("main:b",))
+refined, __ = refined_results([
+    TriagedReport(result=TriageResult(f"r{index}", site, None, True),
+                  program_key="p", fingerprint=f"fp{index}")
+    for index in range(3)])
 print(json.dumps({
+    "refined": len(refined),
+    "refine_spans": sum(1 for _, _, layer, _, _, _ in tracer.spans
+                        if layer == "bucket.refine"),
     "unresolved": unresolved,
     "emitted": emitted,
     "replays": [extra for _, _, layer, _, _, extra in tracer.spans
@@ -68,3 +81,6 @@ def test_layer_wrappers_resolve_and_attribute_a_search():
     assert all(set(attrs) == {"ok"} for attrs in out["replays"])
     assert sum(attrs["ok"] for attrs in out["replays"]) == out["emitted"]
     assert {"enumerate", "execute", "replay", "solve"} <= set(out["layers"])
+    # The one-shot refinement is one ``bucket.refine`` span.
+    assert out["refined"] == 3
+    assert out["refine_spans"] == 1

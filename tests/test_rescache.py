@@ -29,6 +29,7 @@ from repro.core.rescache import (
 from repro.core.rootcause import RootCause
 from repro.core.triage import BugReport, synthesize_result
 from repro.core.triage_service import (
+    ProgramSpec,
     StreamingTriage,
     TriageServiceConfig,
     triage_corpus,
@@ -70,6 +71,18 @@ def test_config_fingerprint_covers_every_resconfig_knob():
     # driver-level extras (drive budgets, solver caps) are in the key
     assert res_config_fingerprint(base_config, max_suffixes=64) != base
     assert res_config_fingerprint(base_config) == base
+
+
+def test_default_service_config_fingerprint_is_pinned():
+    """The default batch config's cache identity, and the engine it
+    builds agrees with it.  A moved value misses every cached verdict,
+    so it may move only with a knob that changes verdicts."""
+    config = TriageServiceConfig()
+    assert config.config_fingerprint() == (
+        "7a2ef751e3b5076bacf303f2b989753406ca00ce5e01e46f0117cdb76fdffd28")
+    engine = StreamingTriage(config)._engine(ProgramSpec(
+        "p", "func main() { return 0; }"))
+    assert engine.config_fingerprint() == config.config_fingerprint()
 
 
 def test_cache_key_digest_depends_on_each_component():
