@@ -136,17 +136,8 @@ class CacheKey:
 # ---------------------------------------------------------------------------
 
 def cause_to_obj(cause: Optional[RootCause]) -> Optional[dict]:
-    """JSON-safe form of a root cause (also used by the intake
-    daemon's job journal)."""
-    return _cause_to_obj(cause)
-
-
-def cause_from_obj(obj: Optional[dict]) -> Optional[RootCause]:
-    """Inverse of :func:`cause_to_obj`."""
-    return _cause_from_obj(obj)
-
-
-def _cause_to_obj(cause: Optional[RootCause]) -> Optional[dict]:
+    """JSON-safe form of a root cause (a cached verdict's, and a
+    ``done`` verdict's in the intake daemon's job journal)."""
     if cause is None:
         return None
     obj = {
@@ -168,7 +159,8 @@ def _cause_to_obj(cause: Optional[RootCause]) -> Optional[dict]:
     return obj
 
 
-def _cause_from_obj(obj: Optional[dict]) -> Optional[RootCause]:
+def cause_from_obj(obj: Optional[dict]) -> Optional[RootCause]:
+    """Inverse of :func:`cause_to_obj`."""
     if obj is None:
         return None
     # Absent on pre-PR-7 rows (daemon journals): the cause keeps its
@@ -211,7 +203,7 @@ class CachedVerdict:
 
     def to_obj(self) -> dict:
         return {
-            "cause": _cause_to_obj(self.cause),
+            "cause": cause_to_obj(self.cause),
             "exploitable": self.exploitable,
             "seconds": round(self.seconds, 6),
             "suffixes": list(self.suffix_digests),
@@ -221,7 +213,7 @@ class CachedVerdict:
     @classmethod
     def from_obj(cls, obj: dict) -> "CachedVerdict":
         return cls(
-            cause=_cause_from_obj(obj["cause"]),
+            cause=cause_from_obj(obj["cause"]),
             exploitable=bool(obj["exploitable"]),
             seconds=float(obj.get("seconds", 0.0)),
             suffix_digests=tuple(obj.get("suffixes", ())),

@@ -215,20 +215,6 @@ class TriageEngine:
     # Warm-start support (persistent cross-run caches, PR 4)
     # ------------------------------------------------------------------
 
-    def config_fingerprint(self) -> str:
-        """Fingerprint of every knob a drive verdict depends on: the
-        full RESConfig plus the drive budgets and the solver caps.
-        (Annotations and ``stack_depth`` are deliberately excluded —
-        see :func:`synthesize_result`.)"""
-        from repro.core.rescache import res_config_fingerprint
-
-        return res_config_fingerprint(
-            self.config,
-            max_suffixes=self.max_suffixes,
-            taint_suffixes=TAINT_SUFFIXES,
-            solver_max_enum=self.solver.max_enum,
-            solver_max_nodes=self.solver.max_nodes)
-
     def export_solver_cache(self) -> dict:
         """JSON-safe snapshot of the engine solver's residual-component
         cache (see :meth:`Solver.export_component_cache`)."""

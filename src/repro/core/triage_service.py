@@ -283,10 +283,12 @@ class TriageServiceConfig:
         return CacheChain.open(self.cache_dir, tuple(self.warm_from))
 
     def config_fingerprint(self) -> str:
-        """Must match :meth:`TriageEngine.config_fingerprint` for the
-        engines this config builds — the solver caps come from a
+        """Fingerprint of every knob a drive verdict of the engines this
+        config builds depends on: the full RESConfig plus the drive
+        budgets and the solver caps, which come from a
         default-constructed :class:`Solver`, exactly as the workers
-        construct theirs."""
+        construct theirs.  (Annotations and ``stack_depth`` are
+        deliberately excluded — see :func:`synthesize_result`.)"""
         solver = Solver()
         return res_config_fingerprint(
             self.res_config(),

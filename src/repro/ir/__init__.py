@@ -43,7 +43,7 @@ from repro.ir.module import (
     STACK_WINDOW,
     STACKS_BASE,
 )
-from repro.ir.cfg import CFG, CallGraph, module_cfgs
+from repro.ir.cfg import CFG, CallGraph
 from repro.ir.printer import format_function, format_module
 from repro.ir.verify import collect_problems, verify_module
 
@@ -55,6 +55,6 @@ __all__ = [
     "JoinInst", "LoadInst", "LockInst", "Module", "MovInst", "Operand",
     "OutputInst", "Reg", "RetInst", "STACKS_BASE", "STACK_WINDOW",
     "SpawnInst", "StoreInst", "UnlockInst", "WORD_BITS", "WORD_MASK",
-    "collect_problems", "format_function", "format_module", "module_cfgs",
-    "to_signed", "to_unsigned", "verify_module",
+    "collect_problems", "format_function", "format_module", "to_signed",
+    "to_unsigned", "verify_module",
 ]

@@ -17,22 +17,15 @@ from repro.ir.module import Function, Module
 
 @dataclass
 class CFG:
-    """Predecessor/successor view of one function, with caching."""
+    """Predecessor view of one function, with caching."""
 
     function: Function
 
     def __post_init__(self) -> None:
         self._preds = self.function.predecessors()
-        self._succs = {
-            label: list(block.successors())
-            for label, block in self.function.blocks.items()
-        }
 
     def predecessors(self, label: str) -> List[str]:
         return list(self._preds[label])
-
-    def successors(self, label: str) -> List[str]:
-        return list(self._succs[label])
 
 
 class CallGraph:
@@ -65,8 +58,3 @@ def _callee_of(instr: Instr) -> Optional[str]:
     if isinstance(instr, (CallInst, SpawnInst)):
         return instr.callee
     return None
-
-
-def module_cfgs(module: Module) -> Dict[str, CFG]:
-    """Build (and cache-friendly return) a CFG for every function."""
-    return {name: CFG(func) for name, func in module.functions.items()}

@@ -329,7 +329,7 @@ class TriageDaemon:
         #: in memory, so nothing upstream retries; the monitor
         #: re-appends these until the spool heals (FIFO, so
         #: representative-before-duplicate order survives the retry)
-        self._journal_backlog: List[tuple] = []
+        self._journal_backlog: List[IntakeJob] = []
         #: jobs whose done rows are parked above: their verdicts stay
         #: unpublished (no instant dedup, dependents keep waiting)
         #: until the rows are durable
@@ -351,8 +351,6 @@ class TriageDaemon:
         self._flushed_count = 0
         #: settled-list length folded into the view (under its lock)
         self._folded = 0
-        #: peer verdicts adopted as shadow jobs (never driven here)
-        self._shadow_ids: set = set()
         #: peer → last seen combined journal size (the tail cursor)
         self._peer_sizes: Dict[str, int] = {}
         self._fleet_last_sync = -1e9
@@ -477,7 +475,7 @@ class TriageDaemon:
                 self._unsettled += 1
                 resumed.append(job)
         self.resumed_jobs = len(resumed)
-        journal: List[tuple] = []
+        journal: List[IntakeJob] = []
         with self._cv:
             for job in resumed:
                 # A forced job re-admits as forced: the acknowledged
@@ -490,10 +488,11 @@ class TriageDaemon:
             self._drain_journal(journal)
         except OSError as exc:
             # These are dedup bookkeeping rows (duplicates re-settled
-            # against a prior life's representative); their submit rows
-            # are already durable, so the next replay simply re-dedups
-            # them.  A transient spool error must not abort the resume
-            # — the daemon exists to get the journaled work done.
+            # against a prior life's representative); their admission
+            # rows are already durable, so the next replay simply
+            # re-dedups them.  A transient spool error must not abort
+            # the resume — the daemon exists to get the journaled work
+            # done.
             warnings.warn(f"resume: journal append failed ({exc}); "
                           f"dedup rows will be rebuilt on next replay",
                           RuntimeWarning)
@@ -545,8 +544,8 @@ class TriageDaemon:
         safely retryable; a 202 that would not survive SIGKILL is a
         lie.  A 200 instant dedup under the same disk trouble still
         answers (the verdict is already computed and durable from its
-        representative); only its bookkeeping row is lost, which replay
-        self-heals by re-deduping the job.
+        representative); only its one ``settled`` row is lost, so a
+        restart forgets that filing, never a verdict.
 
         ``trace_id`` is the client's flight-recorder context (the
         ``X-Res-Trace`` header).  It only takes effect when this
@@ -572,12 +571,11 @@ class TriageDaemon:
             return 400, {"error": str(exc)}
         fingerprint = dump.fingerprint()
 
-        journal: List[tuple] = []
         spans: List[dict] = []
         with self._cv:
-            status, payload, job = self._submit_locked(
+            status, payload, job, ref = self._submit_locked(
                 spec, core_obj, dump, fingerprint, report_id,
-                true_cause, priority, force, journal,
+                true_cause, priority, force,
                 trace_id=trace_id, received=received, spans=spans)
         if trace_id is not None:
             if status in (200, 202, 307):
@@ -586,12 +584,18 @@ class TriageDaemon:
         # Journal-before-acknowledge, but *after* releasing the
         # admission lock: the fsync must not serialize other
         # submissions and the workers (the out-of-order-tolerant
-        # two-pass replay makes this safe).
+        # two-pass replay makes this safe).  A duplicate journals by
+        # reference to its representative ``ref``: an instant one as
+        # its one settled row, an attached one as its admission row
+        # (its settle row comes with its representative's).
         try:
-            self._drain_journal(journal)
+            if status == 200:
+                self._journal_write(self.journal.record_done, [job], ref)
+            elif ref is not None:
+                self._journal_write(self.journal.record_submit, job, ref)
         except OSError as exc:
-            if status == 202 and job is not None:
-                # The attached duplicate's own submit row never became
+            if status == 202:
+                # The attached duplicate's admission row never became
                 # durable: unwind the half-admitted job and let the
                 # HTTP layer answer 503 — acknowledging it would break
                 # the no-acknowledged-job-is-ever-lost invariant.
@@ -609,11 +613,15 @@ class TriageDaemon:
                        report_id: Optional[str],
                        true_cause: Optional[str], priority: Optional[int],
                        force: bool,
-                       journal: List[tuple],
                        trace_id: Optional[str] = None,
                        received: float = 0.0,
                        spans: Optional[List[dict]] = None
-                       ) -> Tuple[int, dict, object]:
+                       ) -> Tuple[int, dict, Optional[IntakeJob],
+                                  Optional[IntakeJob]]:
+        """Admit one parsed submission under the lock; returns
+        ``(status, payload, job, ref)``, where ``ref`` is the
+        representative a duplicate's row is still to be journaled
+        against (None when nothing is left to journal)."""
         # Source-exact admission identity (see IntakeJob.dedup_key): an
         # edited program is a different key, so it recomputes.
         key = (spec.module_fp(), fingerprint)
@@ -623,11 +631,12 @@ class TriageDaemon:
                 # The shared dedup tier answers *before* ownership is
                 # consulted: a crash settled by any fleet node (adopted
                 # here as a shadow) answers instantly everywhere.
+                representative = self._jobs[done_id]
                 job = self._settle_as_duplicate(
                     spec, core_obj, fingerprint, report_id,
-                    true_cause, self._jobs[done_id], journal,
+                    true_cause, representative,
                     trace_id=trace_id, received=received, spans=spans)
-                return 200, job.status_payload(), job
+                return 200, job.status_payload(), job, representative
         if self._ring is not None:
             owner = self._ring.owner(fingerprint)
             if owner != self.config.node_id:
@@ -652,7 +661,7 @@ class TriageDaemon:
                     "fingerprint": fingerprint,
                     "owner": owner,
                     "owner_url": self.config.peers.get(owner, ""),
-                }, None
+                }, None, None
         if not force:
             pending_id = self._pending_by_key.get(key)
             if pending_id is not None:
@@ -662,7 +671,6 @@ class TriageDaemon:
                 job = self._new_job(spec, core_obj, fingerprint,
                                     report_id, true_cause, priority=1,
                                     dump=dump)
-                journal.append(("submit", job, representative))
                 self._dependents.setdefault(pending_id, []).append(
                     job.job_id)
                 job.dedup_of = representative.report_id
@@ -672,14 +680,14 @@ class TriageDaemon:
                                      attached_to=pending_id)
                 payload = job.status_payload()
                 payload["attached_to"] = pending_id
-                return 202, payload, job
+                return 202, payload, job, representative
         if len(self._heap) >= self.config.max_queue:
             self.metrics.rejected_total += 1
             return 429, {
                 "error": "intake queue full",
                 "queue_depth": len(self._heap),
                 "retry_after_seconds": self._retry_after_locked(),
-            }, None
+            }, None, None
         job_priority = priority if priority is not None else (
             0 if fingerprint not in self._seen_fingerprints else 1)
         job = self._new_job(spec, core_obj, fingerprint,
@@ -692,8 +700,8 @@ class TriageDaemon:
             self._admit_span(job, received, spans)
         # Dedup already ran above (or was forced off), so admit
         # without re-checking.
-        self._admit_locked(job, dedup=False, journal=journal)
-        return 202, job.status_payload(), job
+        self._admit_locked(job, dedup=False)
+        return 202, job.status_payload(), job, None
 
     def _unwind_locked(self, job: IntakeJob) -> None:
         """Remove a job whose acknowledgment failed to become durable
@@ -777,24 +785,26 @@ class TriageDaemon:
 
     def _admit_locked(self, job: IntakeJob, journal_submit: bool = True,
                       dedup: bool = True,
-                      journal: Optional[List[tuple]] = None) -> None:
+                      journal: Optional[List[IntakeJob]] = None) -> None:
         """Queue an unsettled job.  With ``dedup`` the historical and
         live stores are consulted first (the resume path re-runs full
         admission: a job whose representative settled in a prior life
         must not recompute).
 
-        A *representative* submit row is journaled synchronously, under
-        the lock: the moment this job lands in the pending map it can
-        be referenced by duplicates' ``core_ref``/``program_ref`` rows
-        from other threads, and a referent must never hit the disk
+        A *representative*'s admission row is journaled synchronously,
+        under the lock: the moment this job lands in the pending map it
+        can be referenced by duplicates' ``core_ref``/``program_ref``
+        rows from other threads, and a referent must never hit the disk
         after its referrer — a SIGKILL in that window would make replay
         drop an acknowledged duplicate.  Duplicates themselves (the
-        dedup-dominated bulk of the traffic) and all settle rows are
-        journaled via ``journal`` after the lock is released.
+        dedup-dominated bulk of the traffic) are journaled by
+        :meth:`submit` after the lock is released, and a job this
+        admission settles goes to ``journal``, for one append of its
+        settle row after the lock.
         """
         if journal_submit:
             try:
-                self.journal.record_submit(job)
+                self._journal_write(self.journal.record_submit, job)
             except OSError:
                 # No row, no job: a half-admitted phantom (registered
                 # but never heap-pushed) would wedge wait_idle and pin
@@ -802,9 +812,7 @@ class TriageDaemon:
                 # the registration and let the submitter see the error
                 # — an unacknowledged submission is safely retryable.
                 self._unwind_locked(job)
-                self._note_disk(False)
                 raise
-            self._note_disk(True)
         if dedup:
             done_id = self._done_by_key.get(job.dedup_key)
             if done_id is not None:
@@ -828,18 +836,19 @@ class TriageDaemon:
                              fingerprint: str, report_id: Optional[str],
                              true_cause: Optional[str],
                              representative: IntakeJob,
-                             journal: List[tuple],
                              trace_id: Optional[str] = None,
                              received: float = 0.0,
                              spans: Optional[List[dict]] = None
                              ) -> IntakeJob:
         """Historical dedup: settle the job instantly (the WER-style
         answer).  The duplicate shares the representative's parsed
-        coredump in memory and journals by reference, so re-reports of
-        a known crash cost bytes, not megabytes.  Shadow (peer-settled)
-        representatives live in *another* node's journal: the duplicate
-        journals its own core instead of a dangling cross-node ref —
-        and a compacted shadow may carry no core at all."""
+        coredump in memory (a compacted representative may carry none),
+        and :meth:`submit` journals it as one ``settled`` row by
+        reference to the representative's row, so re-reports of a known
+        crash cost bytes, not megabytes: the row keeps no dump at all
+        unless the verdict is a stack fallback, and a shadow
+        (peer-settled) representative, whose row is in another node's
+        journal, is never referenced."""
         if representative.fingerprint == fingerprint \
                 and representative.core_obj is not None:
             core_obj = representative.core_obj
@@ -848,15 +857,13 @@ class TriageDaemon:
         if trace_id is not None:
             job.trace_id = trace_id
             self._admit_span(job, received, spans)
-        ref = None if representative.job_id in self._shadow_ids \
-            else representative
-        journal.append(("submit", job, ref))
-        self._settle_duplicate_locked(job, representative, journal)
+        self._settle_duplicate_locked(job, representative, None)
         return job
 
     def _settle_duplicate_locked(self, job: IntakeJob,
                                  representative: IntakeJob,
-                                 journal: Optional[List[tuple]]) -> None:
+                                 journal: Optional[List[IntakeJob]]
+                                 ) -> None:
         job.dedup_of = representative.report_id
         job.verdict = representative.verdict.as_duplicate(
             job.report_id, job.program.key, job.fingerprint)
@@ -866,7 +873,7 @@ class TriageDaemon:
         self._unsettled -= 1
         self._settled_list.append(job)
         if journal is not None:
-            journal.append(("done", job, None))
+            journal.append(job)
         self.metrics.dedup_total += 1
         if not job.resumed:
             self.metrics.observe_latency(job.latency())
@@ -880,30 +887,26 @@ class TriageDaemon:
             self.metrics.bump("journal_errors_total")
         self._disk_ok = ok
 
-    def _drain_journal(self, entries: List[tuple]) -> None:
-        """Write collected journal rows (outside the admission lock;
-        the journal serializes itself and replay tolerates cross-thread
-        row interleavings)."""
+    def _journal_write(self, write, *args) -> None:
+        """One journal append, its outcome noted for healthz."""
         try:
-            for kind, job, ref in entries:
-                if kind == "submit":
-                    self.journal.record_submit(job, dedup_ref=ref)
-                elif kind == "done":
-                    self.journal.record_done(job)
-                elif kind == "quarantined":
-                    self.journal.record_quarantined(job)
-                else:
-                    self.journal.record_failed(job)
+            write(*args)
         except OSError:
             self._note_disk(False)
             raise
-        if entries:
-            self._note_disk(True)
+        self._note_disk(True)
 
-    def _drain_or_backlog(self, entries: List[tuple]) -> bool:
+    def _drain_journal(self, jobs: List[IntakeJob]) -> None:
+        """Journal one event's settled jobs in one append (outside the
+        admission lock; the journal serializes itself and replay
+        tolerates cross-thread row interleavings)."""
+        if jobs:
+            self._journal_write(self.journal.record_done, jobs)
+
+    def _drain_or_backlog(self, entries: List[IntakeJob]) -> bool:
         """Write settle rows now, or park them for the monitor to
-        retry.  Settle rows differ from submit rows: the job is already
-        settled in memory, so no client retry will ever re-write them —
+        retry.  Settle rows differ from admission rows: the job is
+        already settled in memory, so no client retry will re-write them —
         a dropped row stays invisible until a cold replay loses the
         verdict.  Parked rows keep arrival order (later settles queue
         behind an existing backlog instead of overtaking it)."""
@@ -1288,7 +1291,7 @@ class TriageDaemon:
 
     def _settle_unverdicted_locked(self, job: IntakeJob, state: JobState,
                                    error: str,
-                                   journal: List[tuple]) -> None:
+                                   journal: List[IntakeJob]) -> None:
         """Settle a job and its attached duplicates as ``FAILED`` (out
         of attempts) or ``QUARANTINED`` (a poison job): diagnostics
         instead of a verdict, one journal row of that kind each.  The
@@ -1308,7 +1311,7 @@ class TriageDaemon:
             target._dump = None
             self._unsettled -= 1
             self._settled_list.append(target)
-            journal.append((state.value, target, None))
+            journal.append(target)
             if state is JobState.QUARANTINED:
                 self._quarantined_count += 1
                 self.metrics.quarantined_total += 1
@@ -1322,7 +1325,7 @@ class TriageDaemon:
         holds for any abrupt worker loss).  Count it against the job —
         re-queue with backoff, or quarantine once it has killed
         ``quarantine_after`` workers."""
-        journal: List[tuple] = []
+        journal: List[IntakeJob] = []
         with self._cv:
             if self._release_locked(name, job, claim):
                 job.worker_crashes += 1
@@ -1340,7 +1343,7 @@ class TriageDaemon:
                        error: str) -> None:
         """A drive raised: re-queue with backoff while attempts remain,
         settle as failed (dependents included) when they run out."""
-        journal: List[tuple] = []
+        journal: List[IntakeJob] = []
         with self._cv:
             if not self._release_locked(name, job, claim):
                 return
@@ -1373,7 +1376,7 @@ class TriageDaemon:
 
     def _monitor_loop(self) -> None:
         while True:
-            journal: List[tuple] = []
+            journal: List[IntakeJob] = []
             with self._cv:
                 stopping = self._stop and (not self._drain_on_stop
                                            or self._unsettled == 0)
@@ -1416,7 +1419,7 @@ class TriageDaemon:
         if promoted:
             self._cv.notify_all()
 
-    def _watchdog_locked(self, journal: List[tuple]) -> None:
+    def _watchdog_locked(self, journal: List[IntakeJob]) -> None:
         """Reap drives that exceeded the watchdog timeout: SIGKILL the
         worker process, write its slot off so a replacement spawns,
         invalidate its claim, and count a worker loss against the job.
@@ -1472,14 +1475,14 @@ class TriageDaemon:
                   triaged: TriagedReport) -> None:
         # Phase 1: settle in memory and journal the done rows.  The
         # verdict is NOT yet registered for instant dedup — an instant
-        # duplicate journals a done row of its own, and that row must
+        # duplicate journals a settled row of its own, and that row must
         # never hit the disk before the representative's (a SIGKILL
         # between them would make replay settle the duplicate and
         # re-queue the representative, which would then dedup against
         # its own duplicate — inverting `dedup_of` vs the batch run).
         # The pending-map entry stays in place meanwhile, so same-key
         # submissions attach as dependents and settle in phase 2.
-        journal: List[tuple] = []
+        journal: List[IntakeJob] = []
         with self._cv:
             if not self._release_locked(name, job, claim):
                 return  # reaped mid-drive: the retry owns this job now
@@ -1488,7 +1491,7 @@ class TriageDaemon:
             job.finished_at = now()
             self._unsettled -= 1
             self._settled_list.append(job)
-            journal.append(("done", job, None))
+            journal.append(job)
             self.metrics.verdicts_total += 1
             if triaged.cached:
                 self.metrics.warm_hits_total += 1
@@ -1513,7 +1516,7 @@ class TriageDaemon:
         # Phase 2: the done row is durable — expose the verdict to
         # instant dedup and settle any dependents that attached while
         # phase 1's rows were being written.
-        journal: List[tuple] = []
+        journal: List[IntakeJob] = []
         with self._cv:
             self._publish_done_locked(job)
             if self._pending_by_key.get(job.dedup_key) == job.job_id:
@@ -1639,8 +1642,8 @@ class TriageDaemon:
     def _journal_maintenance(self) -> None:
         """Bound the spool: rotate the active journal segment once it
         crosses ``--journal-rotate-mb``, then compact the closed
-        segments (each settled job's submit+settle rows merge into one
-        row, and replay-redundant coredump bodies drop).  Best-effort;
+        segments (each settled job's rows merge into one row, and
+        coredump bodies replay never reads drop).  Best-effort;
         a failed rotation or compaction retries next tick."""
         if not self.journal.rotate_bytes:
             return
@@ -1703,7 +1706,6 @@ class TriageDaemon:
                     continue
                 job.resumed = True
                 job._dump = None
-                self._shadow_ids.add(job.job_id)
                 self._register_replayed_locked(job)
                 adopted = True
             if adopted:

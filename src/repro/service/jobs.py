@@ -5,23 +5,34 @@ every state change that must survive a crash is appended to the
 :class:`JobJournal` — a durable :class:`repro.ioutil.SegmentedLog`, like
 the result cache's rows: a dying process tears at most the final line,
 which replay never reads, and replay skips any other damaged row (torn,
-garbage, or not UTF-8) with a warning.  Two row kinds matter:
+garbage, or not UTF-8) with a warning.  The row kinds:
 
-* ``submit`` — carries *everything needed to re-run the job*: the
-  program source, the full coredump, the fingerprint, the priority.
-  Journaled before the daemon acknowledges the submission, so an
-  accepted job is never lost.
-* ``done`` / ``failed`` — settles a job.  A ``done`` row stores the
+* ``submit`` — the *admission row*: everything needed to re-run the
+  job (program source, coredump, fingerprint, priority).  Journaled
+  before the daemon acknowledges the submission, so an accepted job is
+  never lost.  A duplicate's payloads equal to its representative's are
+  written as ``core_ref`` / ``program_ref`` references to that row.
+* ``done`` / ``failed`` / ``quarantined`` — the *settle row* of a job
+  whose admission row is already journaled.  A ``done`` row stores the
   synthesized *cause* (plus exploitability and provenance), not the
   bucket: on replay the bucket is re-derived through
   :func:`repro.core.triage.synthesize_result`, the same policy the
   warm-start cache uses, so annotation changes re-bucket historical
   verdicts exactly like fresh ones.
+* ``settled`` — one settled job whole: its admission row plus its
+  settle fields (``kind`` names the settle).  A job settled at
+  admission — an instant duplicate — is journaled as this one row, and
+  compaction collapses every other settled job into it.  The dump
+  rule: it keeps its coredump (inline or as ``core_ref``) only where
+  replay reads it — for a ``done`` verdict without a cause, whose
+  stack-fallback bucket is re-derived from it, or, in compaction, while
+  a job replay reads a dump for resolves its own through this one.
 
-Replaying the journal therefore reconstructs the daemon's whole world:
-settled jobs become the historical dedup store, unsettled jobs (queued
-*or* in-flight at the time of death — an interrupted drive leaves no
-partial state worth keeping) are re-admitted to the queue.
+Each row kind has one encoder, and the journal one reader
+(:meth:`JobJournal._read`): replay rebuilds the daemon's whole world
+from it — settled jobs become the historical dedup store, unsettled
+jobs (queued *or* in-flight at the time of death — an interrupted drive
+leaves no partial state worth keeping) are re-admitted to the queue.
 
 Fleet extensions (PR 9):
 
@@ -30,14 +41,15 @@ Fleet extensions (PR 9):
   (``n1-j000004``), so N nodes sharing one spool never contend on a
   file or collide on an identity, and any node can rebuild fleet-wide
   settled state by replaying every segment (its own fully, its peers'
-  settled rows as read-only shadows).
+  settled rows as read-only shadows).  A reference only ever names a
+  row of the same node's journal.
 * **rotation + compaction** — an active journal above the configured
   size is rotated to a closed ``*.seg-NNNNNN`` file; closed segments
-  are compacted by collapsing each settled job's submit+settle rows
-  into one ``settled`` row that drops the (possibly ~100 KB) coredump
-  whenever the journaled cause makes it redundant.  Replay is keyed by
-  job id and idempotent, so a crash anywhere in rotate/compact leaves
-  at worst a duplicate row, never a lost one.
+  are compacted from the same reading replay builds its jobs from, so
+  compaction keeps exactly what replay reads, and a row is dropped
+  only once its job's merged row is durable: a crash anywhere in
+  rotate/compact leaves at worst a duplicate row (replay is keyed by
+  job id), never a lost one.
 * **global order** — jobs across nodes merge deterministically by
   :attr:`IntakeJob.order_key` (submission wall-clock, node, seq);
   journaled timestamps carry microsecond precision so the merged
@@ -53,13 +65,13 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ReproError
 from repro.ioutil import SegmentedLog
 from repro.vm.coredump import Coredump
 from repro.core.rescache import cause_from_obj, cause_to_obj
-from repro.core.triage import BugReport, synthesize_result
+from repro.core.triage import BugReport, TriageResult, synthesize_result
 from repro.core.triage_service import (
     ProgramSpec,
     TriagedReport,
@@ -109,8 +121,8 @@ class IntakeJob:
     report_id: str
     program: ProgramSpec
     #: the coredump as a parsed JSON object (the wire/journal form);
-    #: None only for settled jobs replayed from compacted rows whose
-    #: journaled cause made the dump redundant
+    #: None only for settled jobs replayed from ``settled`` rows whose
+    #: journaled settle made the dump redundant
     core_obj: Optional[dict]
     fingerprint: str
     #: 0 = never-seen fingerprint (head of the queue), 1 = re-submission
@@ -250,10 +262,193 @@ class IntakeJob:
         return payload
 
 
+def _submit_row(job: IntakeJob, ref: Optional[IntakeJob] = None) -> dict:
+    """The admission row of ``job``: everything needed to re-run it.
+
+    Production intake is dedup-dominated (that is why bucketing
+    exists), so journaling the full program + coredump for every
+    duplicate would grow the journal by ~100 KB per re-report of the
+    same crash.  When ``job`` duplicates ``ref``, a job of the same
+    node's journal, the payloads it shares with ``ref`` are written as
+    references to ``ref``'s row instead: the coredump when it is
+    ``ref``'s very object, the program when it is equal.  Replay
+    resolves each reference to ``ref``'s own object, so nothing is lost.
+    """
+    row = {
+        "schema": JOURNAL_SCHEMA,
+        "event": "submit",
+        "job_id": job.job_id,
+        "seq": job.seq,
+        "report_id": job.report_id,
+        "fingerprint": job.fingerprint,
+        "priority": job.priority,
+        "true_cause": job.true_cause,
+        "force": job.force,
+        # Microsecond precision: the fleet's merge-on-replay order
+        # key is (submitted_at, node, seq), so the journaled clock
+        # must resolve distinct arrivals (3dp collapsed ~kHz intake
+        # into ties, which per-node seq can no longer break alone).
+        "submitted_at": round(job.submitted_at, 6),
+    }
+    if job.trace_id is not None:
+        # Additive and optional: unsampled jobs keep the row shape
+        # from before tracing, and old journals replay unchanged.
+        row["trace"] = job.trace_id
+    local = ref is not None and node_of(ref.job_id) == node_of(job.job_id)
+    if local and ref.core_obj is job.core_obj:
+        row["core_ref"] = ref.job_id
+    else:
+        row["core"] = job.core_obj
+    if local and ref.program == job.program:
+        row["program_ref"] = ref.job_id
+    else:
+        row["program"] = {"key": job.program.key,
+                          "source": job.program.source,
+                          "name": job.program.name}
+    return row
+
+
+def _settle_fields(job: IntakeJob) -> dict:
+    """What settling ``job`` journals, chosen by its state: a ``done``
+    verdict's cause (not its bucket — replay re-derives that under the
+    current annotations), exploitability and provenance; a ``failed`` or
+    ``quarantined`` job's diagnostics."""
+    if job.state is JobState.DONE:
+        verdict = job.verdict
+        result = verdict.result if verdict else None
+        return {
+            "cause": cause_to_obj(result.cause) if result else None,
+            "exploitable": result.exploitable if result else False,
+            "cached": verdict.cached if verdict else False,
+            "seconds": round(verdict.seconds, 6) if verdict else 0.0,
+            "dedup_of": job.dedup_of,
+        }
+    if job.state is JobState.QUARANTINED:
+        # An additive kind under the same schema: an older reader
+        # re-queues the job (treating it as unsettled) — safe, merely
+        # un-quarantined until it crash-loops again.
+        return {"error": job.error or "quarantined",
+                "attempts": job.attempts,
+                "worker_crashes": job.worker_crashes}
+    return {"error": job.error or "triage failed"}
+
+
+def _reads_dump(job: IntakeJob) -> bool:
+    """Whether replay reads ``job``'s own coredump: to drive it while it
+    is unsettled, and for a ``done`` verdict without a cause, whose
+    stack-fallback bucket is re-derived from the dump."""
+    if job.state is JobState.DONE:
+        return job.verdict is None or job.verdict.result.cause is None
+    return not job.settled
+
+
+def _whole_row(job: IntakeJob, ref: Optional[IntakeJob],
+               keep_dump: bool) -> dict:
+    """``job`` journaled in one row: its admission row while unsettled;
+    once settled, the ``settled`` row — the admission row plus the
+    settle fields — which keeps the dump (inline or as ``core_ref``)
+    only with ``keep_dump``."""
+    row = _submit_row(job, ref)
+    if job.settled:
+        if not keep_dump:
+            row.pop("core", None)
+            row.pop("core_ref", None)
+        row.update(_settle_fields(job), event="settled",
+                   kind=job.state.value)
+    return row
+
+
+def _admitted(row: dict, jobs: Dict[str, IntakeJob]) -> IntakeJob:
+    """The job an admission row journals, its references resolved to
+    the objects of the ``jobs`` built before it — so duplicates of one
+    crash share one parsed coredump in memory too.  A damaged row
+    raises ``KeyError``, ``TypeError`` or ``ValueError``."""
+    if "program_ref" in row:
+        program = jobs[row["program_ref"]].program
+    else:
+        raw = row["program"]
+        program = ProgramSpec(key=raw["key"], source=raw["source"],
+                              name=raw.get("name", ""))
+    if "core_ref" in row:
+        core_obj = jobs[row["core_ref"]].core_obj
+    elif row.get("event") == "settled":
+        core_obj = row.get("core")  # absent where replay never reads it
+    else:
+        core_obj = row["core"]
+    return IntakeJob(
+        job_id=row["job_id"],
+        seq=int(row["seq"]),
+        report_id=row["report_id"],
+        program=program,
+        core_obj=core_obj,
+        fingerprint=row["fingerprint"],
+        priority=int(row["priority"]),
+        true_cause=row.get("true_cause"),
+        force=bool(row.get("force", False)),
+        submitted_at=float(row.get("submitted_at", 0.0)),
+        trace_id=row.get("trace"),
+    )
+
+
+def _settle(job: IntakeJob, row: dict,
+            config: Optional[TriageServiceConfig]) -> None:
+    """Settle ``job`` by its settle row (``event`` names the kind).  All
+    or nothing: a damaged row raises before the job is touched.  With
+    ``config`` a ``done`` verdict is bucketed under its annotations;
+    without one the bucket stays None."""
+    kind = row["event"]
+    if kind == "done":
+        cause = cause_from_obj(row["cause"])
+        exploitable = bool(row["exploitable"])
+        if config is None:
+            result = TriageResult(job.report_id, None, cause,
+                                  cause is None, exploitable)
+        else:
+            # The stack-fallback bucket is the only consumer of the
+            # coredump; with a journaled cause the parse (per
+            # historical crash, on every restart) is waste.
+            result = synthesize_result(
+                job.bug_report(require_coredump=cause is None),
+                cause, exploitable, annotations=config.annotations,
+                stack_depth=config.stack_depth)
+        job.verdict = TriagedReport(
+            result=result, program_key=job.program.key,
+            fingerprint=job.fingerprint,
+            seconds=float(row.get("seconds", 0.0)),
+            dedup_of=row.get("dedup_of"),
+            cached=bool(row.get("cached", False)))
+        job.dedup_of = row.get("dedup_of")
+        job.state = JobState.DONE
+    elif kind == "quarantined":
+        attempts = int(row.get("attempts", 0))
+        crashes = int(row.get("worker_crashes", 0))
+        job.attempts, job.worker_crashes = attempts, crashes
+        job.error = row.get("error", "quarantined")
+        job.state = JobState.QUARANTINED
+    else:
+        job.error = row.get("error", "triage failed")
+        job.state = JobState.FAILED
+    job.finished_at = job.submitted_at
+
+
+@dataclass
+class _Reading:
+    """One pass over every file of a journal (:meth:`JobJournal._read`)."""
+
+    #: each file's rows, closed segments first and the active file last
+    files: List[Tuple[Path, List[dict]]]
+    #: every job replay rebuilds, in seq order
+    jobs: List[IntakeJob]
+    #: job id → its admission row
+    admission: Dict[str, dict]
+    #: job id → index in ``files`` of the file holding its admission row
+    home: Dict[str, int]
+
+
 class JobJournal:
     """Durable append-only journal of intake events.
 
-    Each row is fsynced before the daemon acts on it — the "journal
+    Each append is fsynced before the daemon acts on it — the "journal
     first, acknowledge second" rule is what makes a 202 response a
     promise that survives SIGKILL.  HTTP threads and workers journal
     concurrently; the log serializes their appends.
@@ -267,9 +462,6 @@ class JobJournal:
         #: bytes (0 disables rotation — the legacy single-file journal)
         self.rotate_bytes = int(rotate_bytes)
 
-    def _append(self, row: dict) -> None:
-        self.log.append([dict(row, schema=JOURNAL_SCHEMA)])
-
     def _rows(self, path: Path) -> List[dict]:
         """This journal's rows in one of its files.  A torn final line
         is the crash contract and goes unread; damage beyond it is
@@ -278,257 +470,127 @@ class JobJournal:
         if chunk.skipped:
             warnings.warn(f"journal: skipped {chunk.skipped} corrupt "
                           f"mid-file row(s) in {path}", RuntimeWarning,
-                          stacklevel=3)
+                          stacklevel=4)
         return [row for row in chunk.rows
                 if row.get("schema") == JOURNAL_SCHEMA]
 
     # -- segments ------------------------------------------------------------
 
     def compact_segments(self) -> dict:
-        """Collapse settled jobs in every *closed* segment.
+        """Collapse every *closed* segment to one row per job.
 
-        For each job that is settled anywhere in the journal, its
-        submit row in a closed segment is rewritten as one ``settled``
-        row carrying the merged submit + settle fields — with the
-        coredump dropped whenever the journaled cause makes replay's
-        stack fallback unreachable (done-with-cause, failed, and
-        quarantined jobs never read it).  Unsettled jobs keep a full
-        submit row with ``core_ref``/``program_ref`` materialized
-        inline, because the referent's own row may be collapsed away.
+        Compaction writes from the reading replay builds its jobs from,
+        so it keeps exactly what replay reads.  Each job whose admission
+        row lies in a closed segment is written there once, at that
+        row's place: settled, as its ``settled`` row, keeping the dump
+        only where replay reads it (the job's own, or another's that
+        resolves its dump through this one); unsettled, as its admission
+        row with references inline.  Its other rows in that segment and
+        in later ones are dropped — replay reads them through the merged
+        row now.
 
         Only closed segments are touched (the active file has live
-        writers), each rewrite is atomic, and replay keys rows by job
-        id — so a crash between writing a compacted segment and any
-        later step costs duplicate rows, never lost ones.
+        writers).  They are rewritten oldest first, each atomically, so
+        a row is dropped only after its job's merged row is durable: a
+        crash anywhere costs duplicate rows, never lost ones.  For the
+        same reason a row *ahead* of its job's admission row (a settle
+        that overtook a duplicate's admission) is kept as it is, as is
+        every row of a job admitted in the active file.
         """
         stats = {"segments": 0, "rows_before": 0, "rows_after": 0,
                  "bytes_before": 0, "bytes_after": 0}
-        segments = self.log.segments()
-        if not segments:
+        if not self.log.segments():
             return stats
-        files = {path: self._rows(path) for path in self.log.files()}
-        settles: Dict[str, dict] = {}
-        for rows in files.values():
-            for row in rows:
-                job_id = row.get("job_id")
-                if not isinstance(job_id, str):
-                    continue
-                event = row.get("event")
-                if event in ("done", "failed", "quarantined"):
-                    settles[job_id] = dict(row, event=event)
-                elif event == "settled":
-                    settles[job_id] = dict(row, event=row.get("kind"))
-        for path in segments:
-            rows = files[path]
+        reading = self._read()
+        by_id = {job.job_id: job for job in reading.jobs}
+        # The dump rule: every job whose dump replay reads, and every
+        # job its dump resolves through.
+        needed = set()
+        for job in reading.jobs:
+            job_id = job.job_id if _reads_dump(job) else None
+            while job_id is not None and job_id not in needed:
+                needed.add(job_id)
+                job_id = reading.admission[job_id].get("core_ref")
+        active = len(reading.files) - 1
+        for index, (path, rows) in enumerate(reading.files[:active]):
             stats["rows_before"] += len(rows)
             try:
                 stats["bytes_before"] += path.stat().st_size
             except OSError:
                 pass
-            submits: Dict[str, dict] = {}
-            order: List[str] = []
+            out: List[dict] = []
             for row in rows:
                 job_id = row.get("job_id")
                 if not isinstance(job_id, str):
-                    continue
-                if row.get("event") in ("submit", "settled") \
-                        and job_id not in submits:
-                    submits[job_id] = row
-                    order.append(job_id)
-            out: List[dict] = []
-            for job_id in order:
-                row = submits[job_id]
-                materialized = self._materialize(row, submits, settles)
-                if materialized is None:
-                    continue  # damaged beyond repair: replay skips too
-                settle = settles.get(job_id)
-                if settle is None:
-                    out.append(materialized)  # still in flight somewhere
-                    continue
-                out.append(self._settled_row(materialized, settle))
+                    continue  # replay skips it too
+                home = reading.home.get(job_id, active)
+                if index < home:
+                    out.append(row)
+                elif row is reading.admission[job_id] and job_id in by_id:
+                    job = by_id[job_id]
+                    ref = by_id.get(row.get("core_ref")
+                                    or row.get("program_ref")) \
+                        if job.settled else None
+                    out.append(_whole_row(job, ref, job_id in needed))
             stats["bytes_after"] += self.log.rewrite(path, out)
             stats["segments"] += 1
             stats["rows_after"] += len(out)
         return stats
 
-    @staticmethod
-    def _materialize(row: dict, submits: Dict[str, dict],
-                     settles: Dict[str, dict]) -> Optional[dict]:
-        """A submit/settled row with refs resolved inline (compacted
-        rows must stand alone — their referent may collapse away)."""
-        row = dict(row)
-        ref_id = row.pop("program_ref", None)
-        if "program" not in row and ref_id is not None:
-            ref = submits.get(ref_id)
-            if ref is None or "program" not in ref:
-                return None
-            row["program"] = ref["program"]
-        ref_id = row.pop("core_ref", None)
-        if "core" not in row and ref_id is not None:
-            ref = submits.get(ref_id)
-            if ref is not None and "core" in ref:
-                row["core"] = ref["core"]
-            else:
-                # The referent's dump was dropped by an earlier compact
-                # pass: legal only because every such referent settled
-                # with a cause, and a duplicate of it settles the same
-                # way — so this job's replay never needs the dump
-                # either (it must itself be settled to have lost its
-                # ref target).
-                settle = settles.get(row.get("job_id", ""))
-                if settle is None or (settle.get("event") == "done"
-                                      and settle.get("cause") is None):
-                    return None
-                row["core"] = None
-        return row
-
-    @staticmethod
-    def _settled_row(submit: dict, settle: dict) -> dict:
-        """Merge one settled job into a single standalone row."""
-        kind = settle.get("event")
-        row = {
-            "schema": JOURNAL_SCHEMA,
-            "event": "settled",
-            "kind": kind,
-            "job_id": submit["job_id"],
-            "seq": submit.get("seq"),
-            "report_id": submit.get("report_id"),
-            "fingerprint": submit.get("fingerprint"),
-            "priority": submit.get("priority"),
-            "true_cause": submit.get("true_cause"),
-            "force": submit.get("force", False),
-            "submitted_at": submit.get("submitted_at", 0.0),
-            "program": submit.get("program"),
-        }
-        if submit.get("trace") is not None:
-            row["trace"] = submit["trace"]
-        if kind == "done":
-            row.update({
-                "cause": settle.get("cause"),
-                "exploitable": settle.get("exploitable", False),
-                "cached": settle.get("cached", False),
-                "seconds": settle.get("seconds", 0.0),
-                "dedup_of": settle.get("dedup_of"),
-            })
-            if settle.get("cause") is None:
-                # Fallback verdict: replay re-derives the bucket from
-                # the coredump's stack — the one settled shape that
-                # still needs the dump.
-                row["core"] = submit.get("core")
-        else:
-            row.update({
-                "error": settle.get("error"),
-                "attempts": settle.get("attempts", 0),
-                "worker_crashes": settle.get("worker_crashes", 0),
-            })
-        return row
-
     # -- writers -------------------------------------------------------------
 
     def record_submit(self, job: IntakeJob,
                       dedup_ref: Optional[IntakeJob] = None) -> None:
-        """Journal one accepted submission.
+        """Journal the admission row of a job that stays unsettled for
+        now, by reference to ``dedup_ref``'s row where it duplicates
+        that job."""
+        self.log.append([_submit_row(job, dedup_ref)])
 
-        Production intake is dedup-dominated (that is why bucketing
-        exists), so journaling the full program + coredump for every
-        duplicate would grow the journal by ~100 KB per re-report of
-        the same crash.  When the submission duplicates an
-        already-journaled job (``dedup_ref``), equal payloads are
-        written as references to that job's row instead — replay
-        resolves them, and equal fingerprints guarantee equal canonical
-        coredump JSON, so nothing is lost.
-        """
-        row = {
-            "event": "submit",
-            "job_id": job.job_id,
-            "seq": job.seq,
-            "report_id": job.report_id,
-            "fingerprint": job.fingerprint,
-            "priority": job.priority,
-            "true_cause": job.true_cause,
-            "force": job.force,
-            # Microsecond precision: the fleet's merge-on-replay order
-            # key is (submitted_at, node, seq), so the journaled clock
-            # must resolve distinct arrivals (3dp collapsed ~kHz intake
-            # into ties, which per-node seq can no longer break alone).
-            "submitted_at": round(job.submitted_at, 6),
-        }
-        if job.trace_id is not None:
-            # Additive and optional: unsampled jobs keep the exact
-            # pre-PR-10 row shape, and old journals replay unchanged.
-            row["trace"] = job.trace_id
-        if dedup_ref is not None \
-                and dedup_ref.fingerprint == job.fingerprint:
-            row["core_ref"] = dedup_ref.job_id
+    def record_done(self, jobs: List[IntakeJob],
+                    dedup_ref: Optional[IntakeJob] = None) -> None:
+        """Journal one event's settled jobs in one append.
+
+        Each job's admission row is already journaled, and it gets the
+        settle row of its state's kind.  With ``dedup_ref`` the jobs
+        were settled at admission instead, as instant duplicates of
+        ``dedup_ref``: each is journaled whole, as the one ``settled``
+        row compaction would have written, by reference to
+        ``dedup_ref``'s row."""
+        if dedup_ref is None:
+            rows = [{"schema": JOURNAL_SCHEMA, "event": job.state.value,
+                     "job_id": job.job_id, **_settle_fields(job)}
+                    for job in jobs]
         else:
-            row["core"] = job.core_obj
-        if dedup_ref is not None and dedup_ref.program == job.program:
-            row["program_ref"] = dedup_ref.job_id
-        else:
-            row["program"] = {"key": job.program.key,
-                              "source": job.program.source,
-                              "name": job.program.name}
-        self._append(row)
+            rows = [_whole_row(job, dedup_ref, _reads_dump(job))
+                    for job in jobs]
+        self.log.append(rows)
 
-    def record_done(self, job: IntakeJob) -> None:
-        verdict = job.verdict
-        result = verdict.result if verdict else None
-        self._append({
-            "event": "done",
-            "job_id": job.job_id,
-            "cause": cause_to_obj(result.cause) if result else None,
-            "exploitable": result.exploitable if result else False,
-            "cached": verdict.cached if verdict else False,
-            "seconds": round(verdict.seconds, 6) if verdict else 0.0,
-            "dedup_of": job.dedup_of,
-        })
+    # -- the reader ----------------------------------------------------------
 
-    def record_failed(self, job: IntakeJob) -> None:
-        self._append({
-            "event": "failed",
-            "job_id": job.job_id,
-            "error": job.error or "triage failed",
-        })
+    def _read(self, config: Optional[TriageServiceConfig] = None
+              ) -> _Reading:
+        """Read every file of the journal once, and rebuild its jobs.
 
-    def record_quarantined(self, job: IntakeJob) -> None:
-        """Settle a poison job durably.  An additive row kind under the
-        same schema: old journals replay unchanged, and a journal with
-        quarantine rows replayed by an *older* reader would re-queue
-        the job (treating it as unsettled) — safe, merely un-quarantined
-        until it crash-loops again."""
-        self._append({
-            "event": "quarantined",
-            "job_id": job.job_id,
-            "error": job.error or "quarantined",
-            "attempts": job.attempts,
-            "worker_crashes": job.worker_crashes,
-        })
-
-    # -- replay --------------------------------------------------------------
-
-    def replay(self, config: TriageServiceConfig) -> List[IntakeJob]:
-        """Reconstruct every journaled job, in submission order.
-
-        Settled jobs carry a rebuilt verdict (bucket re-derived from
-        the journaled cause under the *current* annotations, like a
-        warm cache hit); unsettled jobs come back ``QUEUED`` whatever
-        state they died in.  Torn or alien-schema rows are skipped —
-        losing the row being written at the moment of death is the
-        contract, silently corrupting a settled verdict is not.
+        A job's admission row is its last ``submit`` or ``settled`` row;
+        its settle row is its last ``done``/``failed``/``quarantined``
+        row, else the settle fields of its first ``settled`` row (which
+        plays both parts).  Jobs are built in *seq* order, after every
+        row is read: rows are journaled outside the daemon's admission
+        lock, so a duplicate's row (which references its representative)
+        may legitimately hit the file before the representative's own
+        row — seq order restores the dependency direction (a
+        representative always has the lower seq).  Settled jobs carry
+        their verdict or diagnostics; unsettled ones come back
+        ``QUEUED`` and ``resumed``, whatever state they died in.  A
+        damaged admission row drops its job, a damaged settle row leaves
+        its job unsettled: losing the row being written at the moment of
+        death is the contract, silently corrupting a settled verdict is
+        not.
         """
-        # Two-pass replay: gather rows first, then build jobs in *seq*
-        # order and apply settle events last.  Rows are journaled
-        # outside the daemon's admission lock, so a duplicate's submit
-        # row (which references its representative via ``core_ref`` /
-        # ``program_ref``) may legitimately hit the file before the
-        # representative's own row — seq order restores the dependency
-        # direction (a representative always has the lower seq).
-        submits: Dict[str, dict] = {}
-        settles: Dict[str, dict] = {}
-        rows: List[dict] = []
+        files: List[Tuple[Path, List[dict]]] = []
         for path in self.log.files():
             try:
-                rows.extend(self._rows(path))
+                files.append((path, self._rows(path)))
             except OSError as exc:
                 # An unreadable journal is NOT an empty one: starting
                 # over would drop every acknowledged job and re-issue
@@ -540,107 +602,51 @@ class JobJournal:
                     f"intake journal {path} exists but is unreadable "
                     f"({exc}); refusing to start with a blank history"
                 ) from exc
-        for row in rows:
-            event = row.get("event")
-            job_id = row.get("job_id")
-            if not isinstance(job_id, str):
-                continue
-            if event == "submit":
-                submits[job_id] = row
-            elif event == "settled":
-                # A compacted submit+settle pair: one standalone row
-                # plays both parts (idempotent against any surviving
-                # uncompacted settle row for the same job).
-                submits[job_id] = row
-                settles.setdefault(job_id,
-                                   dict(row, event=row.get("kind")))
-            elif event in ("done", "failed", "quarantined"):
-                settles[job_id] = row
-
+        admission: Dict[str, dict] = {}
+        home: Dict[str, int] = {}
+        settles: Dict[str, dict] = {}
+        for index, (_, rows) in enumerate(files):
+            for row in rows:
+                job_id = row.get("job_id")
+                if not isinstance(job_id, str):
+                    continue
+                event = row.get("event")
+                if event in ("submit", "settled"):
+                    admission[job_id] = row
+                    home[job_id] = index
+                    if event == "settled":
+                        settles.setdefault(job_id,
+                                           dict(row, event=row.get("kind")))
+                elif event in ("done", "failed", "quarantined"):
+                    settles[job_id] = row
         jobs: Dict[str, IntakeJob] = {}
-        ordered: List[IntakeJob] = []
-        for row in sorted(submits.values(),
+        for row in sorted(admission.values(),
                           key=lambda r: r.get("seq") or 0):
             try:
-                if "program_ref" in row:
-                    program = jobs[row["program_ref"]].program
-                else:
-                    raw = row["program"]
-                    program = ProgramSpec(key=raw["key"],
-                                          source=raw["source"],
-                                          name=raw.get("name", ""))
-                if "core_ref" in row:
-                    # Shared reference on purpose: duplicates of one
-                    # crash share one parsed coredump in memory too.
-                    core_obj = jobs[row["core_ref"]].core_obj
-                elif row.get("event") == "settled":
-                    # Compaction drops the dump when the journaled
-                    # cause makes it unreachable on replay.
-                    core_obj = row.get("core")
-                else:
-                    core_obj = row["core"]
-                job = IntakeJob(
-                    job_id=row["job_id"],
-                    seq=int(row["seq"]),
-                    report_id=row["report_id"],
-                    program=program,
-                    core_obj=core_obj,
-                    fingerprint=row["fingerprint"],
-                    priority=int(row["priority"]),
-                    true_cause=row.get("true_cause"),
-                    force=bool(row.get("force", False)),
-                    submitted_at=float(row.get("submitted_at", 0.0)),
-                    trace_id=row.get("trace"),
-                )
+                job = _admitted(row, jobs)
             except (KeyError, TypeError, ValueError):
                 continue  # damaged row: recompute rather than guess
             jobs[job.job_id] = job
-            ordered.append(job)
-
-        for job_id, row in settles.items():
-            job = jobs.get(job_id)
-            if job is None:
-                continue
-            try:
-                if row["event"] == "done":
-                    cause = cause_from_obj(row["cause"])
-                    # The stack-fallback bucket is the only consumer of
-                    # the coredump; with a journaled cause the parse
-                    # (per historical crash, on every restart) is waste.
-                    report = job.bug_report(
-                        require_coredump=cause is None)
-                    result = synthesize_result(
-                        report, cause,
-                        bool(row["exploitable"]),
-                        annotations=config.annotations,
-                        stack_depth=config.stack_depth)
-                    job.verdict = TriagedReport(
-                        result=result,
-                        program_key=job.program.key,
-                        fingerprint=job.fingerprint,
-                        seconds=float(row.get("seconds", 0.0)),
-                        dedup_of=row.get("dedup_of"),
-                        cached=bool(row.get("cached", False)))
-                    job.dedup_of = row.get("dedup_of")
-                    job.state = JobState.DONE
-                    job.finished_at = job.submitted_at
-                elif row["event"] == "quarantined":
-                    job.state = JobState.QUARANTINED
-                    job.error = row.get("error", "quarantined")
-                    job.attempts = int(row.get("attempts", 0))
-                    job.worker_crashes = int(row.get("worker_crashes", 0))
-                    job.finished_at = job.submitted_at
-                else:
-                    job.state = JobState.FAILED
-                    job.error = row.get("error", "triage failed")
-                    job.finished_at = job.submitted_at
-            except (KeyError, TypeError, ValueError):
-                continue  # damaged settle row: job replays as queued
-        for job in ordered:
+        for job in jobs.values():
+            settle = settles.get(job.job_id)
+            if settle is not None:
+                try:
+                    _settle(job, settle, config)
+                except (KeyError, TypeError, ValueError):
+                    pass  # damaged settle row: the job replays as queued
             if not job.settled:
-                job.state = JobState.QUEUED
                 job.resumed = True
-        return ordered
+        return _Reading(files, list(jobs.values()), admission, home)
+
+    def replay(self, config: TriageServiceConfig) -> List[IntakeJob]:
+        """Reconstruct every journaled job, in submission order.
+
+        Settled jobs carry a rebuilt verdict (bucket re-derived from
+        the journaled cause under the *current* annotations, like a
+        warm cache hit); unsettled jobs come back ``QUEUED``.  Torn or
+        alien-schema rows are skipped (see :meth:`_read`).
+        """
+        return self._read(config).jobs
 
 
 def next_ids(jobs: List[IntakeJob]) -> int:

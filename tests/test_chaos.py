@@ -54,6 +54,9 @@ SRC_DIR = Path(repro.__file__).resolve().parents[1]
 
 #: the chaos matrix: every seed must hold the no-lost-jobs invariant
 CHAOS_SEEDS = (101, 202, 303, 404, 505)
+#: one more seed, run with a journal that rotates every few rows so the
+#: monitor compacts closed segments under the same faults
+COMPACTING_SEED = 606
 
 
 @pytest.fixture(autouse=True)
@@ -597,7 +600,7 @@ def reference(corpus):
     }
 
 
-def _spawn_chaos_serve(cwd, fault_env=None):
+def _spawn_chaos_serve(cwd, fault_env=None, serve_args=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH",
                                                             "")
@@ -612,7 +615,7 @@ def _spawn_chaos_serve(cwd, fault_env=None):
          "--cache-dir", "cache", "--max-depth", "8", "--max-nodes",
          "300", "--workers", "2", "--max-attempts", "4",
          "--quarantine-after", "2", "--watchdog-timeout", "1.0",
-         "--retry-backoff", "0.02"],
+         "--retry-backoff", "0.02", *serve_args],
         cwd=str(cwd), env=env, stdout=subprocess.PIPE, stderr=stderr,
         text=True)
     stderr.close()  # the child owns the descriptor now
@@ -662,6 +665,21 @@ def test_chaos_no_acknowledged_job_is_lost(tmp_path, corpus, reference,
       batch reference (faults may delay or kill work, never bend it);
     * the journal replays clean end to end, acknowledged jobs included.
     """
+    _hold_under_fire(tmp_path, corpus, reference, seed)
+
+
+@pytest.mark.chaos
+def test_chaos_compacting_journal_loses_no_job(tmp_path, corpus, reference):
+    """The same invariant while the journal rotates at 4 KB, so the
+    monitor compacts closed segments under worker crashes, disk faults
+    and SIGKILL."""
+    _hold_under_fire(tmp_path, corpus, reference, COMPACTING_SEED,
+                     ("--journal-rotate-mb", "0.004"))
+    segments = JobJournal(tmp_path / "spool" / "jobs.jsonl").log.segments()
+    assert segments, "the journal never rotated, so nothing was compacted"
+
+
+def _hold_under_fire(tmp_path, corpus, reference, seed, serve_args=()):
     spec_path = tmp_path / "faults.json"
     spec_path.write_text(json.dumps(_chaos_spec(seed)))
     fault_env = {faultinject.SPEC_ENV: str(spec_path),
@@ -697,7 +715,7 @@ def test_chaos_no_acknowledged_job_is_lost(tmp_path, corpus, reference,
     proc = None
     try:
         # Life 1: faults on; accept some traffic, then die mid-flight.
-        proc, base = _spawn_chaos_serve(tmp_path, fault_env)
+        proc, base = _spawn_chaos_serve(tmp_path, fault_env, serve_args)
         push(base, corpus.entries[:4])
         time.sleep(rng.uniform(0.2, 1.0))
         proc.send_signal(signal.SIGKILL)
@@ -705,14 +723,14 @@ def test_chaos_no_acknowledged_job_is_lost(tmp_path, corpus, reference,
 
         # Life 2: faults still on; the rest of the traffic, a bounded
         # settle window, another SIGKILL.
-        proc, base = _spawn_chaos_serve(tmp_path, fault_env)
+        proc, base = _spawn_chaos_serve(tmp_path, fault_env, serve_args)
         push(base, corpus.entries[4:])
         _wait_settled(base, timeout=10.0)  # best effort under fire
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30)
 
         # Life 3: faults off.  Everything acknowledged must settle.
-        proc, base = _spawn_chaos_serve(tmp_path)
+        proc, base = _spawn_chaos_serve(tmp_path, serve_args=serve_args)
         assert _wait_settled(base, timeout=120.0), \
             "the queue never drained after the faults were lifted"
         for report_id, job_id in acked:

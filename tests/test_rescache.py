@@ -27,7 +27,7 @@ from repro.core.rescache import (
     res_config_fingerprint,
 )
 from repro.core.rootcause import RootCause
-from repro.core.triage import BugReport, synthesize_result
+from repro.core.triage import TAINT_SUFFIXES, BugReport, synthesize_result
 from repro.core.triage_service import (
     ProgramSpec,
     StreamingTriage,
@@ -78,11 +78,16 @@ def test_default_service_config_fingerprint_is_pinned():
     builds agrees with it.  A moved value misses every cached verdict,
     so it may move only with a knob that changes verdicts."""
     config = TriageServiceConfig()
-    assert config.config_fingerprint() == (
-        "7a2ef751e3b5076bacf303f2b989753406ca00ce5e01e46f0117cdb76fdffd28")
+    pinned = "7a2ef751e3b5076bacf303f2b989753406ca00ce5e01e46f0117cdb76fdffd28"
+    assert config.config_fingerprint() == pinned
+    # The reference: every knob of the engine the config builds.
     engine = StreamingTriage(config)._engine(ProgramSpec(
         "p", "func main() { return 0; }"))
-    assert engine.config_fingerprint() == config.config_fingerprint()
+    assert res_config_fingerprint(
+        engine.config, max_suffixes=engine.max_suffixes,
+        taint_suffixes=TAINT_SUFFIXES,
+        solver_max_enum=engine.solver.max_enum,
+        solver_max_nodes=engine.solver.max_nodes) == pinned
 
 
 def test_cache_key_digest_depends_on_each_component():

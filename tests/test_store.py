@@ -44,7 +44,8 @@ from repro.core.triage_service import (
 from repro.fuzz.triage_corpus import build_labeled_corpus
 from repro.obs.render import parse_metrics
 from repro.service.daemon import DaemonConfig, TriageDaemon
-from repro.service.jobs import IntakeJob, JobJournal, journal_file_for
+from repro.service.jobs import (
+    IntakeJob, JobJournal, JobState, journal_file_for)
 from repro.vm.state import PC
 from repro.workloads import FIGURE1_OVERFLOW
 
@@ -406,7 +407,8 @@ def test_daemon_store_writes_encode_only_new_and_rebucketed_rows(tmp_path):
         job.verdict = _verdict(job.report_id, program, bucket=("replay",),
                                cause=cause)
         ghost.record_submit(job)
-        ghost.record_done(job)
+        job.state = JobState.DONE
+        ghost.record_done([job])
 
     def rows_encoded():
         return parse_metrics(daemon.metrics_text())[
